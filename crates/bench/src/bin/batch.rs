@@ -1,25 +1,24 @@
-//! Batched vs per-request drain on a parked causal chain, as JSON.
+//! Cold vs warm `ComputeFF` partition at a member, as JSON.
 //!
-//! The workload is the shape the `BatchPartition` cache exists for: a
-//! consumer site holds `L` locally-generated entries, then a producer's
-//! causally-chained run of `K` remote requests arrives. Request `i`'s
-//! context is request `i-1`'s context plus request `i-1` itself, and all
-//! `K` are concurrent with the consumer's `L` local entries, so:
+//! The workload is the closed-loop member shape: two members exchange
+//! edits (ins 60 / del 25 / up 15) with a window of 8 of each one's
+//! requests in flight, so every reception is concurrent with the
+//! receiver's latest edits, and neither member compacts. At log lengths
+//! `|H|` ∈ {1k, 4k, 8k} member 2 is timed two ways on the same arrivals:
 //!
-//! * **per_request** — the chain is delivered in causal order, one
-//!   drain per arrival. Each integration rebuilds the canonical-log
-//!   partition from scratch: request `i` moves its `i-1` chain
-//!   ancestors left past the `L` concurrent entries, `O(K^2 * L)`
-//!   transpositions across the run;
-//! * **batched** — the chain is delivered in *reverse*, so requests
-//!   `K..2` park and request `1` wakes the whole run in a single drain.
-//!   The partition built for the first request is advanced across the
-//!   rest ([`BatchPartition::absorb`]), `O(K * L)` total.
+//! * **cold** — a clone of the member (clones carry no partition) takes
+//!   the next arrival: a full partition rebuild from the first concurrent
+//!   log entry, `O(|Hdu| · window)` transpositions, the paper's linear
+//!   `Receive_Coop_Request`;
+//! * **warm** — the live member takes that arrival and the next ones,
+//!   advancing the partition it kept from the previous reception: only
+//!   the suffix entries the new context contains move, `O(window)`.
 //!
-//! Both paths must land on the same replica — the digest is asserted
-//! before any number is reported (the differential oracle for the cache
-//! lives in `dce-core/tests/batch_differential.rs`; this bin sizes the
-//! win the oracle licenses).
+//! The cold and the warm member must land on the same replica digest
+//! after the shared arrival — asserted before any number is reported
+//! (the differential oracles live in `dce-ot/tests/partition_differential.rs`
+//! and in every debug-build reception; this bin sizes the win they
+//! license).
 //!
 //! Run with `cargo run --release -p dce-bench --bin batch`; writes
 //! `results/BENCH_batch.json` at the repository root.
@@ -27,99 +26,146 @@
 use dce_core::{Message, Site};
 use dce_document::{Char, CharDocument, Op};
 use dce_policy::Policy;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Mean ns per call of `f`, with a warmup pass.
-fn time_ns<F: FnMut() -> u64>(iters: u32, mut f: F) -> (f64, u64) {
-    let mut sink = 0u64;
-    for _ in 0..iters.min(4) {
-        sink = sink.wrapping_add(f());
+const WINDOW: usize = 8;
+const COLD_REPS: usize = 15;
+const WARM_ARRIVALS: usize = 400;
+
+/// Edit `i` at `site`: ins 60 / del 25 / up 15 (the benchmark's mix).
+fn edit(site: &Site<Char>, i: usize) -> Op<Char> {
+    let doc = site.document();
+    let len = doc.len();
+    let pos = 1 + (i * 7919) % len.max(1);
+    match i % 20 {
+        _ if len == 0 => Op::ins(1, 'a'),
+        0..=11 => Op::ins(1 + (i * 104_729) % (len + 1), char::from(b'a' + (i % 26) as u8)),
+        12..=16 => Op::Del { pos, elem: *doc.get(pos).unwrap() },
+        _ => Op::up(pos, *doc.get(pos).unwrap(), char::from(b'A' + (i % 26) as u8)),
     }
+}
+
+/// Two members with `WINDOW` of each one's requests in flight.
+struct Session {
+    s1: Site<Char>,
+    s2: Site<Char>,
+    to_s1: VecDeque<Message<Char>>,
+    to_s2: VecDeque<Message<Char>>,
+    round: usize,
+}
+
+impl Session {
+    fn new() -> Self {
+        let policy = Policy::permissive([0, 1, 2]);
+        let d0 = CharDocument::from_str("the quick brown fox");
+        Session {
+            s1: Site::new_user(1, 0, d0.clone(), policy.clone()),
+            s2: Site::new_user(2, 0, d0, policy),
+            to_s1: VecDeque::new(),
+            to_s2: VecDeque::new(),
+            round: 0,
+        }
+    }
+
+    /// One edit per member, then each takes what left its window; the
+    /// ns of member 2's receptions are pushed to `timed`.
+    fn round(&mut self, timed: &mut Vec<u64>) {
+        let i = self.round;
+        self.round += 1;
+        self.to_s2.push_back(Message::Coop(self.s1.generate(edit(&self.s1, i)).unwrap()));
+        self.to_s1.push_back(Message::Coop(self.s2.generate(edit(&self.s2, i + 11)).unwrap()));
+        while self.to_s1.len() > WINDOW {
+            self.s1.receive(self.to_s1.pop_front().unwrap()).unwrap();
+        }
+        while self.to_s2.len() > WINDOW {
+            let m = self.to_s2.pop_front().unwrap();
+            let start = Instant::now();
+            self.s2.receive(m).unwrap();
+            timed.push(start.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
+fn median(mut xs: Vec<u64>) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+fn transposes(site: &Site<Char>) -> u64 {
+    site.engine().metrics().partition_transposes
+}
+
+struct Point {
+    h: usize,
+    cold_ns: u64,
+    warm_ns: u64,
+    cold_transposes: u64,
+    warm_transposes: f64,
+}
+
+/// Grows the session to `h` entries in member 2's log, then times the
+/// next arrival cold and the following `WARM_ARRIVALS` warm.
+fn bench_point(session: &mut Session, h: usize) -> Point {
+    let mut sink = Vec::new();
+    while session.s2.engine().log().len() < h {
+        session.round(&mut sink);
+    }
+    let next = session.to_s2.pop_front().expect("an arrival in flight");
+
+    let mut cold_ns = Vec::new();
+    let mut cold_transposes = 0;
+    let mut cold_digest = 0;
+    for _ in 0..COLD_REPS {
+        let mut cold = session.s2.clone();
+        let before = transposes(&cold);
+        let start = Instant::now();
+        cold.receive(next.clone()).unwrap();
+        cold_ns.push(start.elapsed().as_nanos() as u64);
+        cold_transposes = transposes(&cold) - before;
+        cold_digest = cold.replica_digest();
+    }
+
+    let before = transposes(&session.s2);
     let start = Instant::now();
-    for _ in 0..iters {
-        sink = sink.wrapping_add(f());
+    session.s2.receive(next).unwrap();
+    let mut warm_ns = vec![start.elapsed().as_nanos() as u64];
+    assert_eq!(session.s2.replica_digest(), cold_digest, "cold and warm receptions diverged");
+    while warm_ns.len() < WARM_ARRIVALS {
+        session.round(&mut warm_ns);
     }
-    (start.elapsed().as_nanos() as f64 / f64::from(iters), sink)
-}
-
-/// A consumer with `local` concurrent entries and the producer's
-/// `chain`-long causal run, in generation order.
-fn workload(local: usize, chain: usize) -> (Site<Char>, Vec<Message<Char>>) {
-    let d0 = CharDocument::from_str("base");
-    let policy = Policy::permissive([0, 1, 2]);
-    let mut producer: Site<Char> = Site::new_user(1, 0, d0.clone(), policy.clone());
-    let msgs: Vec<Message<Char>> = (0..chain)
-        .map(|i| Message::Coop(producer.generate(Op::ins(i + 1, 'x')).unwrap()))
-        .collect();
-    let mut consumer: Site<Char> = Site::new_user(2, 0, d0, policy);
-    for _ in 0..local {
-        consumer.generate(Op::ins(1, 'y')).unwrap();
-        consumer.drain_outbox();
+    let warm_transposes = (transposes(&session.s2) - before) as f64 / warm_ns.len() as f64;
+    Point {
+        h,
+        cold_ns: median(cold_ns),
+        warm_ns: median(warm_ns),
+        cold_transposes,
+        warm_transposes,
     }
-    (consumer, msgs)
-}
-
-/// (per_request_ns, batched_ns) for one (L, K) point, digest-checked.
-fn bench_point(local: usize, chain: usize) -> (f64, f64) {
-    let (consumer, msgs) = workload(local, chain);
-    let expect_len = consumer.document().len() + chain;
-
-    // Digest parity first: the two delivery orders are observably
-    // indistinguishable, so the timings below compare like with like.
-    let digest_of = |order: &[Message<Char>]| {
-        let mut site = consumer.clone();
-        for m in order {
-            site.receive(m.clone()).unwrap();
-        }
-        assert_eq!(site.queued(), 0);
-        assert_eq!(site.document().len(), expect_len);
-        site.replica_digest()
-    };
-    let reversed: Vec<Message<Char>> = msgs.iter().rev().cloned().collect();
-    assert_eq!(digest_of(&msgs), digest_of(&reversed), "delivery orders diverged");
-
-    let (per_request_ns, a) = time_ns(12, || {
-        let mut site = consumer.clone();
-        for m in &msgs {
-            site.receive(m.clone()).unwrap();
-        }
-        assert_eq!(site.queued(), 0);
-        chain as u64
-    });
-    let (batched_ns, b) = time_ns(40, || {
-        let mut site = consumer.clone();
-        for m in &reversed {
-            site.receive(m.clone()).unwrap();
-        }
-        assert_eq!(site.queued(), 0);
-        chain as u64
-    });
-    std::hint::black_box((a, b));
-    (per_request_ns, batched_ns)
 }
 
 fn main() {
-    let local = 512usize;
-    let mut rows = String::new();
-    let mut headline = 0.0f64;
-    for (i, chain) in [16usize, 64, 256].into_iter().enumerate() {
-        let (per_request_ns, batched_ns) = bench_point(local, chain);
-        let speedup = per_request_ns / batched_ns;
-        if chain == 64 {
-            headline = speedup;
-        }
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\n      \"chain\": {chain},\n      \"per_request_ns_per_replay\": {per_request_ns:.0},\n      \"batched_ns_per_replay\": {batched_ns:.0},\n      \"speedup\": {speedup:.1}\n    }}"
+    let mut session = Session::new();
+    let points: Vec<Point> = [1000, 4000, 8000].map(|h| bench_point(&mut session, h)).into();
+    let mut rows = Vec::new();
+    for p in &points {
+        let speedup = p.cold_ns as f64 / p.warm_ns as f64;
+        eprintln!(
+            "|H|={}: cold {} ns ({} transposes), warm {} ns ({:.1} transposes/arrival), {speedup:.1}x",
+            p.h, p.cold_ns, p.cold_transposes, p.warm_ns, p.warm_transposes
+        );
+        rows.push(format!(
+            "    {{\n      \"h\": {},\n      \"cold_ns\": {},\n      \"cold_transposes\": {},\n      \"warm_ns_p50\": {},\n      \"warm_transposes_per_arrival\": {:.1},\n      \"speedup\": {speedup:.1}\n    }}",
+            p.h, p.cold_ns, p.cold_transposes, p.warm_ns, p.warm_transposes
         ));
-        eprintln!("L={local} K={chain}: per_request {per_request_ns:.0} ns, batched {batched_ns:.0} ns, {speedup:.1}x");
     }
+    let at_4k = points.iter().find(|p| p.h == 4000).expect("4k point");
+    let headline = at_4k.cold_ns as f64 / at_4k.warm_ns as f64;
 
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"concurrent_local_entries\": {local},\n    \"note\": \"causally chained remote run, delivered in causal order (one drain per request) vs reversed (parked, one batched drain)\"\n  }},\n  \"points\": [\n{rows}\n  ],\n  \"speedup_at_64\": {headline:.1}\n}}\n"
+        "{{\n  \"workload\": {{\n    \"window\": {WINDOW},\n    \"mix\": \"ins 60 / del 25 / up 15\",\n    \"note\": \"member 2 of a two-member exchange with a window of requests in flight each way: cold = the next arrival at a clone (full partition rebuild, median of {COLD_REPS}), warm = the live member's kept partition (median of {WARM_ARRIVALS} arrivals)\"\n  }},\n  \"points\": [\n{}\n  ],\n  \"speedup_at_4k\": {headline:.1}\n}}\n",
+        rows.join(",\n")
     );
     print!("{json}");
 
@@ -131,5 +177,5 @@ fn main() {
     out.push("BENCH_batch.json");
     std::fs::write(&out, json).expect("write BENCH_batch.json");
     eprintln!("wrote {}", out.display());
-    assert!(headline >= 5.0, "batched drain under 5x at K=64: {headline:.1}");
+    assert!(headline >= 5.0, "warm partition under 5x faster than cold at |H| = 4k: {headline:.1}");
 }

@@ -6,7 +6,7 @@ use crate::scheduler::{Pending, Scheduler, Slot};
 use crate::shard::{DocumentId, FlagTable};
 use dce_document::{Document, Element, Op};
 use dce_obs::{DeferReason, EventKind, ObsHandle, ReqId};
-use dce_ot::engine::{BatchPartition, Engine, Integration};
+use dce_ot::engine::{Engine, Integration};
 use dce_ot::ids::Clock;
 use dce_ot::{Buffer, Cell, Log, RequestId};
 use dce_policy::{Action, AdminLog, AdminOp, AdminRequest, Policy, PolicyVersion, UserId};
@@ -796,14 +796,6 @@ impl<E: Element> Site<E> {
     }
 
     fn drain_inner(&mut self) -> Result<(), CoreError> {
-        // One batch-partition cache for the whole ready run: a causally
-        // chained run of K requests drains as K loop iterations (each
-        // integration wakes exactly its successor), and the cache turns the
-        // K independent `ComputeFF` partitions into one partition advanced
-        // K times. It lives only within this call — any path that rewrites
-        // log forms behind the OT engine's back (retroactive undo inside
-        // `process_admin`) resets it below.
-        let mut cache: Option<BatchPartition<E>> = None;
         loop {
             // Version parking is keyed on the *local* counter, which can
             // also advance outside reception (local `admin_generate`), so
@@ -817,10 +809,6 @@ impl<E: Element> Site<E> {
                 // parked request since classification.
                 if r.version == self.policy.version() + 1 {
                     self.process_admin(r)?;
-                    // Retroactive enforcement may have rewritten log forms
-                    // (undo flips entries inert in place): the cached
-                    // partition no longer mirrors the log.
-                    cache = None;
                 }
                 progressed = true;
             }
@@ -828,7 +816,7 @@ impl<E: Element> Site<E> {
             if let Some(q) = self.sched.pop_ready_coop() {
                 if !self.engine.has_seen(q.ot.id) {
                     let id = q.ot.id;
-                    self.process_coop(q, &mut cache)?;
+                    self.process_coop(q)?;
                     self.wake_clock_reached(id);
                 }
                 progressed = true;
@@ -941,11 +929,7 @@ impl<E: Element> Site<E> {
     // Algorithm 3: reception of a cooperative request.
     // ------------------------------------------------------------------
 
-    fn process_coop(
-        &mut self,
-        q: CoopRequest<E>,
-        cache: &mut Option<BatchPartition<E>>,
-    ) -> Result<(), CoreError> {
+    fn process_coop(&mut self, q: CoopRequest<E>) -> Result<(), CoreError> {
         let id = q.ot.id;
         let action = Action::for_op(&q.ot.top.op);
 
@@ -960,19 +944,15 @@ impl<E: Element> Site<E> {
         };
 
         if denied {
-            self.engine
-                .integrate_inert_batched(&q.ot, cache)
-                .map_err(|e| CoreError::Protocol(e.to_string()))?;
+            self.engine.integrate_inert(&q.ot).map_err(|e| CoreError::Protocol(e.to_string()))?;
             self.flags.settle(id, Flag::Invalid);
             self.denials.push(id);
             self.emit(EventKind::ReqDenied { id: obs_id(id) });
             return Ok(());
         }
 
-        let outcome = self
-            .engine
-            .integrate_batched(&q.ot, cache)
-            .map_err(|e| CoreError::Protocol(e.to_string()))?;
+        let outcome =
+            self.engine.integrate(&q.ot).map_err(|e| CoreError::Protocol(e.to_string()))?;
 
         match outcome {
             Integration::Inert => {

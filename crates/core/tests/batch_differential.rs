@@ -1,21 +1,19 @@
 //! Differential testing of the batched drain against the original
 //! Algorithm-1 scan loop.
 //!
-//! The batched drain threads one `BatchPartition` cache through a whole
-//! causally-ready run: when a missing link arrives and wakes a parked
-//! chain of K remote requests, the canonical-log partition built for the
-//! first is advanced across the remaining K-1 instead of being rebuilt
-//! from scratch per request. This suite manufactures exactly those runs —
-//! bursts of causally-chained edits from one site, delivered in reverse
-//! so the entire chain parks and then wakes in a single drain — and
-//! replays them, shuffled and partially duplicated, into a plain [`Site`]
-//! and a [`ScanSite`] (the preserved pre-refactor scan loop, one
-//! integration per pass, no cache). After every delivery both must agree
-//! on the document and on how many messages are still queued; at the end,
-//! on the replica digest and every piece of replicated state. Any
-//! divergence — a cached partition advanced past a stale context, an
-//! undo that should have discarded the cache but didn't — fails the
-//! property.
+//! When a missing link arrives and wakes a parked chain of K remote
+//! requests, the drain integrates the whole causally-ready run in one
+//! pass, and each integration advances the OT engine's kept `ComputeFF`
+//! partition instead of rebuilding it. This suite manufactures exactly
+//! those runs — bursts of causally-chained edits from one site, delivered
+//! in reverse so the entire chain parks and then wakes in a single drain
+//! — and replays them, shuffled and partially duplicated, into a plain
+//! [`Site`] and a [`ScanSite`] (the preserved pre-refactor scan loop, one
+//! integration per pass). After every delivery both must agree on the
+//! document and on how many messages are still queued; at the end, on the
+//! replica digest and every piece of replicated state. Any divergence — a
+//! partition advanced past a stale context, a revocation's undo that
+//! should have dropped it but didn't — fails the property.
 
 use dce_core::{Message, ScanSite, Site};
 use dce_document::{Char, CharDocument, Op};
@@ -36,11 +34,11 @@ enum Edit {
 enum Step {
     /// A causally-chained run of edits from one site: generated
     /// back-to-back with no intervening deliveries, so each op's context
-    /// includes its predecessor — the shape the batch cache feeds on.
+    /// includes its predecessor — the shape a kept partition advances along.
     Burst(usize, Vec<Edit>),
     /// The administrator prepends a signed document-wide authorization
     /// (`false` = revocation: the retroactive-undo races that must
-    /// discard the cache mid-run).
+    /// drop the kept partition mid-run).
     Auth(u32, u8, bool),
 }
 
@@ -188,7 +186,7 @@ proptest! {
         settle!();
 
         // ---- Replay schedule: reverse every burst (the whole chain
-        // parks, then one arrival wakes it through the cache), shuffle
+        // parks, then one arrival wakes it in one drain), shuffle
         // the block order, and append some duplicates. ----
         let mut lcg = replay_seed;
         for block in &mut blocks {

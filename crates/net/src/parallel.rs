@@ -161,6 +161,8 @@ fn run_session_inner<E: Element + Send + Sync + 'static>(
     let results: Arc<Mutex<Vec<Option<Site<E>>>>> =
         Arc::new(Mutex::new((0..n).map(|_| None).collect()));
 
+    let scripts_done = Arc::new(std::sync::Barrier::new(n));
+
     let mut handles = Vec::new();
     for (i, script) in scripts.into_iter().enumerate() {
         let my_rx = receivers[i].clone();
@@ -176,6 +178,7 @@ fn run_session_inner<E: Element + Send + Sync + 'static>(
             reorder_prob,
         });
         let obs = obs.clone();
+        let scripts_done = scripts_done.clone();
 
         handles.push(thread::spawn(move || {
             let mut site: Site<E> = if i == 0 {
@@ -196,10 +199,12 @@ fn run_session_inner<E: Element + Send + Sync + 'static>(
                     // The site takes ownership: deep-clone once per actual
                     // reception, not once per peer at send time.
                     site.receive((*msg).clone()).expect("protocol error");
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    // Count what this reception emits before retiring it,
+                    // so the in-flight total never dips to zero early.
                     for out in site.drain_outbox() {
                         courier.broadcast(out);
                     }
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
             };
 
@@ -218,6 +223,9 @@ fn run_session_inner<E: Element + Send + Sync + 'static>(
                 }
                 thread::yield_now();
             }
+            // No site may judge the group quiet before every script's
+            // broadcasts are counted in flight.
+            scripts_done.wait();
 
             // Cooperative quiescence: keep draining until nothing is in
             // flight anywhere and our inbox is empty.

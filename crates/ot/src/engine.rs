@@ -7,10 +7,11 @@
 //! make the base-form machinery exact.
 
 use crate::buffer::Buffer;
-use crate::error::{IntegrateError, OtError};
+use crate::error::{ExcludeError, IntegrateError, OtError};
 use crate::ids::{Clock, RequestId, SiteId};
-use crate::log::{Log, LogEntry};
+use crate::log::{canonize_last, Log, LogEntry};
 use crate::transform::{include, TOp};
+use crate::transpose::transpose;
 use dce_document::{ApplyError, Document, Element, Op};
 use serde::{Deserialize, Serialize};
 
@@ -45,57 +46,82 @@ pub enum Integration<E> {
     Inert,
 }
 
-/// A reusable partition of the canonical log, keyed by the generation
-/// context it was built for. When a causally-chained run of K remote
-/// requests drains in one pass (request `i+1`'s context = request `i`'s
-/// context plus request `i` itself), the partition built for the first
-/// request can be *advanced* instead of rebuilt: after each integration
-/// the just-appended log form is transposed left past the concurrent
-/// suffix ([`BatchPartition::absorb`]), which costs one transposition per
-/// suffix entry instead of a full `O(|H|)` working-copy rebuild plus one
-/// transposition per (context, concurrent) inversion. The batched drain
-/// in `dce-core::Site` threads one of these through its ready loop.
+/// The canonical log split by one generation context — `ComputeFF`'s
+/// precondition: the entries of `ctx` moved to a prefix by exact,
+/// effect-preserving transpositions, the concurrent rest after them in log
+/// order. Only that concurrent suffix is kept, as `(id, form)` pairs in
+/// the forms the entries take after the prefix; the prefix forms are never
+/// read, so a partition costs O(window), not O(|H|).
 ///
-/// Correctness rests on the same exactness property `partition_context`
-/// uses: transpositions are effect-preserving, so the concurrent-suffix
-/// forms depend only on *which* entries precede them, not on the order
-/// those entries were moved in. The per-request path (`integrate` with no
-/// cache) is the differential oracle.
-#[derive(Debug, Clone)]
-pub struct BatchPartition<E> {
-    /// The context this partition is valid for: reuse requires the next
-    /// request's context to equal it exactly.
+/// The engine keeps one partition alive across receptions and advances it
+/// instead of rebuilding it: a request whose context contains the cached
+/// one moves the newly-contained suffix entries into the prefix
+/// ([`Partition::sift`]), an integrated request is moved past the suffix
+/// ([`Partition::hoist`]), a local request joins the suffix. That rests on
+/// the exactness property the cold rebuild (`Engine::partition_context`)
+/// already relies on: the form an entry takes depends only on *which*
+/// entries precede it, not on the order they were moved in — checked
+/// against the cold rebuild on every reception in debug builds.
+#[derive(Debug)]
+struct Partition<E> {
+    /// The context the prefix holds.
     ctx: Clock,
-    /// Entries before this index are in `ctx`; entries after are
-    /// concurrent with it.
-    prefix_len: usize,
-    /// The log's forms, reordered so the context entries form a prefix.
-    working: Vec<TOp<E>>,
+    /// The log entries outside `ctx`, in log order, in their post-prefix forms.
+    suffix: Vec<(RequestId, TOp<E>)>,
 }
 
-impl<E: Element> BatchPartition<E> {
-    /// Advances the partition past the just-integrated request `id`, whose
-    /// stored log form is `form`: bubbles the form left over the concurrent
-    /// suffix so the cache describes the partition for a successor whose
-    /// context additionally contains `id`. Returns the number of
-    /// transpositions spent, or `None` if one failed — the caller must then
-    /// discard the cache and fall back to a full rebuild.
-    fn absorb(&mut self, mut form: TOp<E>, id: RequestId) -> Option<u64> {
-        let mut moves = 0u64;
-        for j in (self.prefix_len..self.working.len()).rev() {
-            match crate::transpose::transpose(&self.working[j], &form) {
-                Ok((moved, stayed)) => {
-                    self.working[j] = stayed;
-                    form = moved;
-                    moves += 1;
-                }
-                Err(_) => return None,
+impl<E: Element> Partition<E> {
+    /// Moves `form` — a context entry in the form it holds right after the
+    /// suffix — left past the whole suffix, rewriting the suffix forms, and
+    /// drops it into the prefix. Returns the transpositions spent.
+    fn hoist(&mut self, mut form: TOp<E>) -> Result<u64, ExcludeError> {
+        for (_, w) in self.suffix.iter_mut().rev() {
+            let (moved, stayed) = transpose(w, &form)?;
+            *w = stayed;
+            form = moved;
+        }
+        Ok(self.suffix.len() as u64)
+    }
+
+    /// Appends `entries` (log order, each in the form it holds after
+    /// everything before it) to the partition: entries of `ctx` are hoisted
+    /// into the prefix, the others join the suffix. Returns the number of
+    /// entries hoisted and the transpositions spent.
+    fn sift(
+        &mut self,
+        entries: impl IntoIterator<Item = (RequestId, TOp<E>)>,
+    ) -> Result<(u64, u64), ExcludeError> {
+        let (mut hoisted, mut moves) = (0, 0);
+        for (id, form) in entries {
+            if self.ctx.contains(id) {
+                moves += self.hoist(form)?;
+                hoisted += 1;
+            } else {
+                self.suffix.push((id, form));
             }
         }
-        self.working.insert(self.prefix_len, form);
-        self.prefix_len += 1;
-        self.ctx.set(id.site, id.seq);
-        Some(moves)
+        Ok((hoisted, moves))
+    }
+
+    /// Advances the partition to `ctx`, which must contain the cached
+    /// context, by sifting the suffix. Returns the transpositions spent, or
+    /// `None` when the partition cannot describe `ctx` — a transposition
+    /// failed, or the suffix did not hold every request `ctx` gained — and
+    /// the caller must rebuild.
+    fn advance(&mut self, ctx: &Clock) -> Option<u64> {
+        let gained = ctx.total() - self.ctx.total();
+        self.ctx = ctx.clone();
+        let suffix = std::mem::take(&mut self.suffix);
+        let (hoisted, moves) = self.sift(suffix).ok()?;
+        (hoisted == gained).then_some(moves)
+    }
+
+    /// Adds a local request, executed at the end of the log, to the suffix
+    /// and canonizes the suffix the way the log canonizes itself, so the
+    /// suffix stays in log order.
+    fn push_local(&mut self, id: RequestId, form: TOp<E>) -> u64 {
+        self.suffix.push((id, form));
+        canonize_last(&mut self.suffix, |(_, form)| form)
     }
 }
 
@@ -122,7 +148,7 @@ pub struct EngineMetrics {
 /// Owns the replica (a tombstone [`Buffer`]), the canonical log `H`, the
 /// causal clock, and the provenance chains linking each cell to the requests
 /// that produced it (the paper's dependency tree, stored positionally).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Engine<E> {
     site: SiteId,
     buf: Buffer<E>,
@@ -135,20 +161,40 @@ pub struct Engine<E> {
     pruned_inert: std::collections::HashSet<RequestId>,
     /// Number of entries compacted away so far (diagnostics).
     pruned_count: usize,
+    /// `ComputeFF`'s context partition, kept warm across receptions. A
+    /// cache of the log, not state: never digested or snapshotted, dropped
+    /// by `undo` and `prune_prefix`, and absent from new engines and clones.
+    partition: Option<Partition<E>>,
+}
+
+/// A clone starts cold, like a restored snapshot: the partition is
+/// rebuilt by the first reception that needs it.
+impl<E: Clone> Clone for Engine<E> {
+    fn clone(&self) -> Self {
+        Engine {
+            site: self.site,
+            buf: self.buf.clone(),
+            log: self.log.clone(),
+            clock: self.clock.clone(),
+            metrics: self.metrics,
+            pruned_inert: self.pruned_inert.clone(),
+            pruned_count: self.pruned_count,
+            partition: None,
+        }
+    }
 }
 
 impl<E: Element> Engine<E> {
     /// Creates an engine for `site` over the initial document `d0`.
     pub fn new(site: SiteId, d0: Document<E>) -> Self {
-        Engine {
+        Self::from_parts(
             site,
-            buf: Buffer::from_document(&d0),
-            log: Log::new(),
-            clock: Clock::new(),
-            metrics: EngineMetrics::default(),
-            pruned_inert: std::collections::HashSet::new(),
-            pruned_count: 0,
-        }
+            Buffer::from_document(&d0),
+            Log::new(),
+            Clock::new(),
+            std::collections::HashSet::new(),
+            0,
+        )
     }
 
     /// Work counters accumulated so far.
@@ -196,6 +242,7 @@ impl<E: Element> Engine<E> {
             metrics: EngineMetrics::default(),
             pruned_inert,
             pruned_count,
+            partition: None,
         }
     }
 
@@ -216,6 +263,7 @@ impl<E: Element> Engine<E> {
     /// (validated or definitively invalid). Inert pruned identities are
     /// remembered so late requests depending on them still become inert.
     pub fn prune_prefix(&mut self, n: usize) {
+        self.partition = None;
         for e in self.log.drain_prefix(n) {
             if e.inert {
                 self.pruned_inert.insert(e.id);
@@ -436,6 +484,11 @@ impl<E: Element> Engine<E> {
             ctx: ctx.clone(),
         });
         self.metrics.canonize_transposes += swaps;
+        // A request generated just now is concurrent with every context the
+        // kept partition can describe: it joins the suffix.
+        if let Some(p) = &mut self.partition {
+            self.metrics.partition_transposes += p.push_local(id, top.clone());
+        }
         Ok(BroadcastRequest { id, dep, top, ctx })
     }
 
@@ -447,7 +500,7 @@ impl<E: Element> Engine<E> {
         &mut self,
         req: &BroadcastRequest<E>,
     ) -> Result<Integration<E>, IntegrateError> {
-        self.integrate_with(req, true, &mut None)
+        self.integrate_with(req, true)
     }
 
     /// Integrates a remote request while suppressing its document effect —
@@ -455,37 +508,13 @@ impl<E: Element> Engine<E> {
     /// paper's Fig. 5 walkthrough. Later requests transform against it as a
     /// no-op but its identity stays resolvable.
     pub fn integrate_inert(&mut self, req: &BroadcastRequest<E>) -> Result<(), IntegrateError> {
-        self.integrate_with(req, false, &mut None).map(|_| ())
-    }
-
-    /// [`Engine::integrate`] with a reusable [`BatchPartition`] threaded
-    /// through: a matching cache skips the `O(|H|)` partition rebuild, and
-    /// after integration the cache is advanced to cover the next request of
-    /// a causally-chained run. The caller owns invalidation — the cache is
-    /// only sound while no *other* path mutates the log (undo, compaction,
-    /// local generation reset it to `None`).
-    pub fn integrate_batched(
-        &mut self,
-        req: &BroadcastRequest<E>,
-        cache: &mut Option<BatchPartition<E>>,
-    ) -> Result<Integration<E>, IntegrateError> {
-        self.integrate_with(req, true, cache)
-    }
-
-    /// [`Engine::integrate_inert`] with a reusable [`BatchPartition`].
-    pub fn integrate_inert_batched(
-        &mut self,
-        req: &BroadcastRequest<E>,
-        cache: &mut Option<BatchPartition<E>>,
-    ) -> Result<(), IntegrateError> {
-        self.integrate_with(req, false, cache).map(|_| ())
+        self.integrate_with(req, false).map(|_| ())
     }
 
     fn integrate_with(
         &mut self,
         req: &BroadcastRequest<E>,
         effective: bool,
-        cache: &mut Option<BatchPartition<E>>,
     ) -> Result<Integration<E>, IntegrateError> {
         if self.clock.contains(req.id) {
             return Err(IntegrateError::Duplicate(req.id));
@@ -528,37 +557,37 @@ impl<E: Element> Engine<E> {
             }
         }
 
-        // Integration proper (the paper's ComputeFF step): reorder a working
-        // copy of the log so the entries of `req`'s generation context form
-        // a prefix (exact, transposition-based), then fold the request
-        // forward through the concurrent suffix with `IT`. A cache built
-        // for exactly this context (the previous request of a chained run)
-        // replaces the rebuild entirely.
-        if !cache.as_ref().is_some_and(|c| c.ctx == req.ctx) {
-            *cache = if req.ctx.dominates(&self.clock) {
-                // Fast path: the request causally follows everything
-                // integrated here, so no log entry is concurrent with it —
-                // the partition is the identity (zero transpositions) and
-                // the concurrent suffix is empty. Skipping the O(|H|)
-                // working-copy build makes sequential integration (chains,
-                // catch-up replays) O(1) in the log instead of quadratic
-                // over a session. No cache is kept: with an empty suffix
-                // there is nothing to amortize.
-                None
-            } else {
-                let (prefix_len, working, moves) = self.partition_context(&req.ctx);
-                self.metrics.partition_transposes += moves;
-                Some(BatchPartition { ctx: req.ctx.clone(), prefix_len, working })
-            };
-        }
-        let mut top = req.top.clone();
-        if let Some(c) = cache.as_ref() {
-            for w in &c.working[c.prefix_len..] {
-                top = include(&top, w);
-                self.metrics.includes += 1;
+        // Integration proper (the paper's ComputeFF step): partition the
+        // log so the entries of `req`'s generation context form a prefix
+        // (exact, transposition-based), then fold the request forward
+        // through the concurrent suffix with `IT`.
+        let warm = match self.partition.take() {
+            // The request causally follows everything integrated here: no
+            // log entry is concurrent with it, the suffix is empty.
+            _ if req.ctx.dominates(&self.clock) => {
+                Some((Partition { ctx: req.ctx.clone(), suffix: Vec::new() }, 0))
             }
+            // The usual case: the request's context contains the cached
+            // one, so only the suffix entries it newly contains move.
+            Some(mut p) if req.ctx.dominates(&p.ctx) => p.advance(&req.ctx).map(|moves| (p, moves)),
+            // Cold, or a context that left part of the cached one out.
+            _ => None,
+        };
+        let (partition, moves) = warm.unwrap_or_else(|| self.partition_context(&req.ctx));
+        self.metrics.partition_transposes += moves;
+        debug_assert_eq!(
+            partition.suffix,
+            self.partition_context(&req.ctx).0.suffix,
+            "the kept partition drifted from a cold rebuild for {}",
+            req.id
+        );
+        let mut top = req.top.clone();
+        for (_, w) in &partition.suffix {
+            top = include(&top, w);
         }
+        self.metrics.includes += partition.suffix.len() as u64;
         self.metrics.integrated += 1;
+        self.partition = Some(partition);
 
         if !effective || ancestor_inert {
             // Stored invalid. An invalid *insertion* still claims its cell —
@@ -587,7 +616,7 @@ impl<E: Element> Engine<E> {
             });
             self.metrics.canonize_transposes += swaps;
             self.clock.set(req.id.site, req.id.seq);
-            self.advance_cache(cache, stored_top, req.id);
+            self.absorb(stored_top, req.id);
             return Ok(Integration::Inert);
         }
 
@@ -625,23 +654,24 @@ impl<E: Element> Engine<E> {
         });
         self.metrics.canonize_transposes += swaps;
         self.clock.set(req.id.site, req.id.seq);
-        self.advance_cache(cache, top.clone(), req.id);
+        self.absorb(top.clone(), req.id);
         Ok(Integration::Executed(top.op))
     }
 
-    /// Advances `cache` past a just-appended log form, discarding it if a
-    /// transposition fails (the per-request rebuild then takes over — the
-    /// cache is an accelerator, never load-bearing for correctness).
-    fn advance_cache(
-        &mut self,
-        cache: &mut Option<BatchPartition<E>>,
-        stored_form: TOp<E>,
-        id: RequestId,
-    ) {
-        if let Some(c) = cache.as_mut() {
-            match c.absorb(stored_form, id) {
-                Some(moves) => self.metrics.partition_transposes += moves,
-                None => *cache = None,
+    /// Moves a just-integrated request, whose form after the suffix is
+    /// `form`, into the kept partition's prefix, so the partition describes
+    /// a context that also holds `id` — as the next request from the same
+    /// origin's does. A failed transposition drops the partition (the next
+    /// reception rebuilds it: the partition is an accelerator, never
+    /// load-bearing for correctness).
+    fn absorb(&mut self, form: TOp<E>, id: RequestId) {
+        if let Some(p) = &mut self.partition {
+            match p.hoist(form) {
+                Ok(moves) => {
+                    p.ctx.set(id.site, id.seq);
+                    self.metrics.partition_transposes += moves;
+                }
+                Err(_) => self.partition = None,
             }
         }
     }
@@ -666,6 +696,9 @@ impl<E: Element> Engine<E> {
         if self.log.get(id).map(|e| e.inert).unwrap_or(false) {
             return Err(OtError::AlreadyInert(id));
         }
+        // Undo rewrites log forms in place: the kept partition no longer
+        // mirrors the log.
+        self.partition = None;
 
         let mut undone = Vec::new();
         // Cascade: undo live dependents first (repeatedly pick one with no
@@ -805,38 +838,21 @@ impl<E: Element> Engine<E> {
         Ok(())
     }
 
-    /// Builds a working copy of the log's current forms, stably partitioned
-    /// so that the entries of `ctx` (the remote request's generation
-    /// context) form a prefix, with the concurrent entries after them —
-    /// reordered by exact, effect-preserving transpositions. Returns the
-    /// prefix length and the reordered forms.
-    ///
-    /// Cost: one transposition per (concurrent, context) inversion — zero
-    /// when the log is already partitioned, which is the common case when
-    /// sites synchronize regularly.
-    fn partition_context(&self, ctx: &Clock) -> (usize, Vec<TOp<E>>, u64) {
-        let mut working: Vec<(bool, TOp<E>)> =
-            self.log.iter().map(|e| (ctx.contains(e.id), e.top.clone())).collect();
-        let mut boundary = 0usize; // entries before `boundary` are context
-        let mut moves = 0u64;
-        for i in 0..working.len() {
-            if !working[i].0 {
-                continue;
-            }
-            // Bubble this context entry left past the concurrent gap.
-            let mut j = i;
-            while j > boundary {
-                let (left, right) = (working[j - 1].clone(), working[j].clone());
-                let (new_left, new_right) = crate::transpose::transpose(&left.1, &right.1)
-                    .expect("a context entry never semantically depends on a concurrent one");
-                working[j - 1] = (right.0, new_left);
-                working[j] = (left.0, new_right);
-                j -= 1;
-                moves += 1;
-            }
-            boundary += 1;
-        }
-        (boundary, working.into_iter().map(|(_, t)| t).collect(), moves)
+    /// Builds the partition of the log for `ctx` (the remote request's
+    /// generation context) from scratch — the cold path, and the oracle the
+    /// kept partition is checked against. Entries before the first
+    /// concurrent one are already in place; from there each context entry
+    /// is hoisted left past the concurrent entries seen so far. Returns the
+    /// partition and the transpositions spent: one per (concurrent,
+    /// context) inversion.
+    fn partition_context(&self, ctx: &Clock) -> (Partition<E>, u64) {
+        let log = self.log.as_slice();
+        let first = log.iter().position(|e| !ctx.contains(e.id)).unwrap_or(log.len());
+        let mut p = Partition { ctx: ctx.clone(), suffix: Vec::new() };
+        let (_, moves) = p
+            .sift(log[first..].iter().map(|e| (e.id, e.top.clone())))
+            .expect("a context entry never semantically depends on a concurrent one");
+        (p, moves)
     }
 }
 

@@ -157,42 +157,13 @@ impl<E: Element> Log<E> {
     /// construction (insertions depend on nothing).
     pub fn push_canonical(&mut self, entry: LogEntry<E>) -> u64 {
         self.entries.push(entry);
-        let mut i = self.entries.len() - 1;
-        if !self.entries[i].is_ins() {
-            return 0;
-        }
-        let mut swaps = 0;
-        while i > 0 && !self.entries[i - 1].is_ins() {
-            let (left, right) = (self.entries[i - 1].clone(), self.entries[i].clone());
-            let (new_left_top, new_right_top) = transpose(&left.top, &right.top)
-                .expect("canonize transposition is always defined for insertions");
-            self.entries[i - 1] = LogEntry { top: new_left_top, ..right };
-            self.entries[i] = LogEntry { top: new_right_top, ..left };
-            i -= 1;
-            swaps += 1;
-        }
-        swaps
+        canonize_last(&mut self.entries, |e| &mut e.top)
     }
 
     /// Appends `entry` without canonizing (used when rebuilding a log from
     /// an already-canonical sequence).
     pub fn push_raw(&mut self, entry: LogEntry<E>) {
         self.entries.push(entry);
-    }
-
-    /// Moves the entry at `idx` step by step to the end of the log,
-    /// transposing it with each successor. Fails if a successor semantically
-    /// depends on it. Returns the final form the entry held at the end.
-    pub fn hoist_to_end(&mut self, idx: usize) -> Result<TOp<E>, crate::error::ExcludeError> {
-        let mut i = idx;
-        while i + 1 < self.entries.len() {
-            let (moving, next) = (self.entries[i].clone(), self.entries[i + 1].clone());
-            let (new_next_top, new_moving_top) = transpose(&moving.top, &next.top)?;
-            self.entries[i] = LogEntry { top: new_next_top, ..next };
-            self.entries[i + 1] = LogEntry { top: new_moving_top, ..moving };
-            i += 1;
-        }
-        Ok(self.entries[i].top.clone())
     }
 
     /// Replaces the whole entry sequence (used by tests and snapshots).
@@ -205,6 +176,31 @@ impl<E: Element> Log<E> {
     pub fn drain_prefix(&mut self, n: usize) -> Vec<LogEntry<E>> {
         self.entries.drain(..n.min(self.entries.len())).collect()
     }
+}
+
+/// `Canonize` on any sequence of forms whose last item was just appended:
+/// if it is an insertion, bubbles it left past every non-insertion,
+/// transposing the two forms and swapping the items in place. Returns the
+/// transpositions spent. Panics as [`Log::push_canonical`] does.
+pub(crate) fn canonize_last<T, E: Element>(
+    items: &mut [T],
+    form: fn(&mut T) -> &mut TOp<E>,
+) -> u64 {
+    let is_ins = |item: &mut T| form(item).op.kind() == OpKind::Ins;
+    let Some(mut i) = items.len().checked_sub(1) else { return 0 };
+    if !is_ins(&mut items[i]) {
+        return 0;
+    }
+    while i > 0 && !is_ins(&mut items[i - 1]) {
+        let (left, right) = items.split_at_mut(i);
+        let (left, right) = (form(&mut left[i - 1]), form(&mut right[0]));
+        let (moved, stayed) = transpose(left, right)
+            .expect("canonize transposition is always defined for insertions");
+        (*left, *right) = (stayed, moved);
+        items.swap(i - 1, i);
+        i -= 1;
+    }
+    (items.len() - 1 - i) as u64
 }
 
 #[cfg(test)]
@@ -279,28 +275,6 @@ mod tests {
         assert_eq!(chain, vec![RequestId::new(1, 1), RequestId::new(1, 2)]);
         assert!(log.chain_of(Some(RequestId::new(9, 9))).is_none());
         assert_eq!(log.chain_of(None).unwrap(), Vec::<RequestId>::new());
-    }
-
-    #[test]
-    fn hoist_to_end_preserves_effect() {
-        // "abc": Ins(2,'x') -> "axbc"; Del(4,'c') -> "axb"; Up(3,'b','B') -> "axB".
-        let mut log = Log::new();
-        log.push_raw(entry(1, Op::ins(2, 'x')));
-        log.push_raw(entry(2, Op::del(4, 'c')));
-        log.push_raw(entry(3, Op::up(3, 'b', 'B')));
-        assert_eq!(replay(&log, "abc"), "axB");
-        let end_form = log.hoist_to_end(0).unwrap();
-        assert_eq!(replay(&log, "abc"), "axB");
-        assert_eq!(log.entries[2].id, RequestId::new(1, 1));
-        assert_eq!(end_form.op, Op::ins(2, 'x'));
-    }
-
-    #[test]
-    fn hoist_fails_on_dependent_successor() {
-        let mut log = Log::new();
-        log.push_raw(entry(1, Op::ins(2, 'x')));
-        log.push_raw(entry(2, Op::del(2, 'x'))); // deletes the inserted elem
-        assert!(log.hoist_to_end(0).is_err());
     }
 
     #[test]
