@@ -9,11 +9,15 @@
 //! * every frame is `u32-le length ‖ body`, with the length covering
 //!   the body only and capped at [`MAX_FRAME_LEN`] so a corrupted or
 //!   hostile length prefix cannot drive an unbounded allocation;
-//! * the body is `tag ‖ fields`; the [`Frame`] enum covers the session
-//!   handshake (`Hello`/`Welcome`), the reliable layer's traffic
-//!   (`Data` wraps a [`Packet`], `Ack` is the standalone cumulative
-//!   ack), and the out-of-band control queries the load generator uses
-//!   to detect quiescence (`Status*`, `Digest*`);
+//! * the body is `tag ‖ fields`, and every document-addressed frame
+//!   (`Data`, `Ack`, `Digest*`, `Status*`) starts its fields with the
+//!   `u64` document id ([`DocumentId::ROOT`] is `0`). There is one
+//!   layout per tag and no version negotiation. The [`Frame`] enum
+//!   covers the session handshake (`Hello`/`Welcome`), the reliable
+//!   layer's traffic (`Data` wraps a [`Packet`], `Ack` is the
+//!   standalone cumulative ack), and the out-of-band control queries
+//!   the load generator uses to detect quiescence (`Status*`,
+//!   `Digest*`);
 //! * [`FrameDecoder`] is an incremental parser: feed it whatever the
 //!   socket produced, pull zero or more complete frames out. Split
 //!   frames wait for more bytes; garbage fails loudly with a
@@ -25,7 +29,10 @@
 //! through the exact codec the rest of the stack already tests.
 
 use crate::reliable::Packet;
-use crate::wire::{decode_message, encode_message, WireElement, WireError};
+use crate::wire::{
+    decode_message, encode_message, get_bool, get_doc, get_u16, get_u32, get_u64, get_u8,
+    WireElement, WireError,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dce_core::{DocumentId, Message};
 use dce_obs::{HistogramSnapshot, HIST_BUCKETS};
@@ -36,12 +43,6 @@ use std::sync::Arc;
 /// message (a full-document snapshot is shipped elsewhere), far below
 /// anything that would hurt to allocate.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// Hard ceiling on a wire document id (codec v3). Ids above this are
-/// rejected as [`WireError::BadDocument`]: no deployment hosts 2^48
-/// documents, so a larger value is a corrupted or hostile frame, caught
-/// before it can key unbounded server-side state.
-pub const MAX_DOC_ID: u64 = (1 << 48) - 1;
 
 type Result<T> = std::result::Result<T, WireError>;
 
@@ -68,8 +69,7 @@ pub enum Frame<E> {
     /// A reliable-layer data packet: [`Packet`] flattened onto the wire
     /// with its protocol message in [`crate::wire`] encoding.
     Data {
-        /// Document the packet's stream belongs to ([`DocumentId::ROOT`]
-        /// for v2 peers — the connection's default document).
+        /// Document the packet's stream belongs to.
         doc: DocumentId,
         /// Sending site.
         src: u32,
@@ -205,46 +205,16 @@ const TAG_DIGEST_REPLY: u8 = 5;
 const TAG_STATUS_REQUEST: u8 = 6;
 const TAG_STATUS_REPLY: u8 = 7;
 const TAG_BYE: u8 = 8;
-// Codec v3: identical bodies prefixed by a u64 document id right after
-// the tag. Frames addressing the default document ([`DocumentId::ROOT`])
-// keep the v2 tags, so a single-document exchange is byte-identical to
-// the pre-sharding codec and v2 peers interoperate unchanged.
-const TAG_DATA_V3: u8 = 9;
-const TAG_ACK_V3: u8 = 10;
-const TAG_DIGEST_REQUEST_V3: u8 = 11;
-const TAG_DIGEST_REPLY_V3: u8 = 12;
-const TAG_STATUS_REQUEST_V3: u8 = 13;
-const TAG_STATUS_REPLY_V3: u8 = 14;
-// Codec v4: the telemetry scrape pair. Session-scoped (the metrics
-// registry is process-wide, with per-document series carried as
-// `…·docN` names inside the report), so there is no v3 flavor.
+// Tags 9–14 are unassigned. The telemetry scrape pair is session-scoped
+// (the metrics registry is process-wide, with per-document series
+// carried as `…·docN` names inside the report), so it carries no
+// document id.
 const TAG_METRICS_REQUEST: u8 = 15;
 const TAG_METRICS_REPORT: u8 = 16;
 
 /// Ceiling on one metric name's length on the wire. Real names are short
 /// dotted paths (`store.fsync_ns.doc1234`); anything longer is corrupt.
 const MAX_METRIC_NAME: usize = 512;
-
-/// Emits `tag` (v2 flavor) when `doc` is the root document, else the v3
-/// flavor followed by the document id.
-fn put_tag_doc(body: &mut BytesMut, v2: u8, v3: u8, doc: DocumentId) {
-    if doc.is_root() {
-        body.put_u8(v2);
-    } else {
-        body.put_u8(v3);
-        body.put_u64_le(doc.as_u64());
-    }
-}
-
-/// Reads and validates a v3 document id: zero must have used the v2
-/// encoding, and ids above [`MAX_DOC_ID`] are corrupt.
-fn get_doc(buf: &mut Bytes) -> Result<DocumentId> {
-    let doc = get_u64(buf)?;
-    if doc == 0 || doc > MAX_DOC_ID {
-        return Err(WireError::BadDocument(doc));
-    }
-    Ok(DocumentId::new(doc))
-}
 
 /// Encodes one frame, length prefix included.
 pub fn encode_frame<E: WireElement>(frame: &Frame<E>) -> Bytes {
@@ -262,7 +232,8 @@ pub fn encode_frame<E: WireElement>(frame: &Frame<E>) -> Bytes {
             body.put_u32_le(*peers);
         }
         Frame::Data { doc, src, epoch, seq, ack_epoch, ack, msg } => {
-            put_tag_doc(&mut body, TAG_DATA, TAG_DATA_V3, *doc);
+            body.put_u8(TAG_DATA);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*src);
             body.put_u64_le(*epoch);
             body.put_u64_le(*seq);
@@ -273,28 +244,33 @@ pub fn encode_frame<E: WireElement>(frame: &Frame<E>) -> Bytes {
             body.put_slice(&payload);
         }
         Frame::Ack { doc, from, epoch, cum } => {
-            put_tag_doc(&mut body, TAG_ACK, TAG_ACK_V3, *doc);
+            body.put_u8(TAG_ACK);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*from);
             body.put_u64_le(*epoch);
             body.put_u64_le(*cum);
         }
         Frame::DigestRequest { session, doc } => {
-            put_tag_doc(&mut body, TAG_DIGEST_REQUEST, TAG_DIGEST_REQUEST_V3, *doc);
+            body.put_u8(TAG_DIGEST_REQUEST);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*session);
         }
         Frame::DigestReply { session, doc, user, digest, idle } => {
-            put_tag_doc(&mut body, TAG_DIGEST_REPLY, TAG_DIGEST_REPLY_V3, *doc);
+            body.put_u8(TAG_DIGEST_REPLY);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*session);
             body.put_u32_le(*user);
             body.put_u64_le(*digest);
             body.put_u8(u8::from(*idle));
         }
         Frame::StatusRequest { session, doc } => {
-            put_tag_doc(&mut body, TAG_STATUS_REQUEST, TAG_STATUS_REQUEST_V3, *doc);
+            body.put_u8(TAG_STATUS_REQUEST);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*session);
         }
         Frame::StatusReply { session, doc, connected, unacked, delivered } => {
-            put_tag_doc(&mut body, TAG_STATUS_REPLY, TAG_STATUS_REPLY_V3, *doc);
+            body.put_u8(TAG_STATUS_REPLY);
+            body.put_u64_le(doc.as_u64());
             body.put_u32_le(*session);
             body.put_u32_le(*connected);
             body.put_u8(u8::from(*unacked));
@@ -346,14 +322,10 @@ pub fn encode_frame<E: WireElement>(frame: &Frame<E>) -> Bytes {
 
 fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
     let tag = get_u8(&mut buf)?;
-    // v3 tags carry the document id first; v2 tags address the root.
+    // Document-addressed frames carry the document id right after the tag.
     let doc = match tag {
-        TAG_DATA_V3
-        | TAG_ACK_V3
-        | TAG_DIGEST_REQUEST_V3
-        | TAG_DIGEST_REPLY_V3
-        | TAG_STATUS_REQUEST_V3
-        | TAG_STATUS_REPLY_V3 => get_doc(&mut buf)?,
+        TAG_DATA | TAG_ACK | TAG_DIGEST_REQUEST | TAG_DIGEST_REPLY | TAG_STATUS_REQUEST
+        | TAG_STATUS_REPLY => get_doc(&mut buf)?,
         _ => DocumentId::ROOT,
     };
     let frame = match tag {
@@ -363,7 +335,7 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
             user: get_u32(&mut buf)?,
             peers: get_u32(&mut buf)?,
         },
-        TAG_DATA | TAG_DATA_V3 => {
+        TAG_DATA => {
             let src = get_u32(&mut buf)?;
             let epoch = get_u64(&mut buf)?;
             let seq = get_u64(&mut buf)?;
@@ -376,30 +348,26 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
             let msg = decode_message(buf.split_to(len))?;
             Frame::Data { doc, src, epoch, seq, ack_epoch, ack, msg: Arc::new(msg) }
         }
-        TAG_ACK | TAG_ACK_V3 => Frame::Ack {
+        TAG_ACK => Frame::Ack {
             doc,
             from: get_u32(&mut buf)?,
             epoch: get_u64(&mut buf)?,
             cum: get_u64(&mut buf)?,
         },
-        TAG_DIGEST_REQUEST | TAG_DIGEST_REQUEST_V3 => {
-            Frame::DigestRequest { session: get_u32(&mut buf)?, doc }
-        }
-        TAG_DIGEST_REPLY | TAG_DIGEST_REPLY_V3 => Frame::DigestReply {
+        TAG_DIGEST_REQUEST => Frame::DigestRequest { session: get_u32(&mut buf)?, doc },
+        TAG_DIGEST_REPLY => Frame::DigestReply {
             session: get_u32(&mut buf)?,
             doc,
             user: get_u32(&mut buf)?,
             digest: get_u64(&mut buf)?,
-            idle: get_u8(&mut buf)? != 0,
+            idle: get_bool(&mut buf)?,
         },
-        TAG_STATUS_REQUEST | TAG_STATUS_REQUEST_V3 => {
-            Frame::StatusRequest { session: get_u32(&mut buf)?, doc }
-        }
-        TAG_STATUS_REPLY | TAG_STATUS_REPLY_V3 => Frame::StatusReply {
+        TAG_STATUS_REQUEST => Frame::StatusRequest { session: get_u32(&mut buf)?, doc },
+        TAG_STATUS_REPLY => Frame::StatusReply {
             session: get_u32(&mut buf)?,
             doc,
             connected: get_u32(&mut buf)?,
-            unacked: get_u8(&mut buf)? != 0,
+            unacked: get_bool(&mut buf)?,
             delivered: get_u64(&mut buf)?,
         },
         TAG_BYE => Frame::Bye { user: get_u32(&mut buf)? },
@@ -410,18 +378,12 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
             let mut counters = BTreeMap::new();
             for _ in 0..get_u32(&mut buf)? {
                 let name = get_metric_name(&mut buf)?;
-                let v = get_u64(&mut buf)?;
-                if counters.insert(name, v).is_some() {
-                    return Err(WireError::BadHeader);
-                }
+                insert_ascending(&mut counters, name, get_u64(&mut buf)?)?;
             }
             let mut gauges = BTreeMap::new();
             for _ in 0..get_u32(&mut buf)? {
                 let name = get_metric_name(&mut buf)?;
-                let v = get_u64(&mut buf)?;
-                if gauges.insert(name, v).is_some() {
-                    return Err(WireError::BadHeader);
-                }
+                insert_ascending(&mut gauges, name, get_u64(&mut buf)?)?;
             }
             let mut histograms = BTreeMap::new();
             for _ in 0..get_u32(&mut buf)? {
@@ -442,9 +404,7 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
                     buckets.push((i, c));
                 }
                 let snap = HistogramSnapshot::from_buckets(count, sum, buckets);
-                if histograms.insert(name, snap).is_some() {
-                    return Err(WireError::BadHeader);
-                }
+                insert_ascending(&mut histograms, name, snap)?;
             }
             Frame::MetricsReport {
                 session,
@@ -463,40 +423,22 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
     Ok(frame)
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(Buf::get_u8(buf))
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u16(buf: &mut Bytes) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u16_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
 /// Emits a length-prefixed metric name. Names beyond [`MAX_METRIC_NAME`]
 /// never occur in a real registry; the decoder rejects them.
 fn put_metric_name(body: &mut BytesMut, name: &str) {
     debug_assert!(name.len() <= MAX_METRIC_NAME, "metric name too long for the wire");
     body.put_u16_le(name.len() as u16);
     body.put_slice(name.as_bytes());
+}
+
+/// Adds one series to a decoded report section. A section encodes in
+/// name order, so an out-of-order or repeated name is corrupt.
+fn insert_ascending<V>(section: &mut BTreeMap<String, V>, name: String, v: V) -> Result<()> {
+    if section.last_key_value().is_some_and(|(last, _)| *last >= name) {
+        return Err(WireError::BadHeader);
+    }
+    section.insert(name, v);
+    Ok(())
 }
 
 fn get_metric_name(buf: &mut Bytes) -> Result<String> {
@@ -597,6 +539,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_DOC_ID;
     use dce_document::Char;
     use dce_ot::ids::Clock;
 
@@ -666,15 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn nonroot_documents_ride_the_v3_tags() {
-        for doc in [1, 42, MAX_DOC_ID] {
+    fn every_document_shares_one_tag_and_the_doc_word_follows_it() {
+        for doc in [0, 1, 42, MAX_DOC_ID] {
             let frame = doc_heartbeat(doc, 5);
-            assert_eq!(encode_frame(&frame)[4], TAG_DATA_V3);
+            let bytes = encode_frame(&frame);
+            assert_eq!(bytes[4], TAG_DATA);
+            assert_eq!(u64::from_le_bytes(bytes[5..13].try_into().unwrap()), doc);
             assert_eq!(roundtrip(&frame), frame);
         }
-        // The root document stays on the v2 tag — byte-identical to the
-        // pre-sharding codec.
-        assert_eq!(encode_frame(&heartbeat(5))[4], TAG_DATA);
     }
 
     #[test]
@@ -747,10 +689,11 @@ mod tests {
 
     #[test]
     fn truncated_body_and_unknown_tag_are_rejected() {
-        // Length says 9 bytes, tag says Ack (needs 20): truncated.
+        // Length says 9 bytes (tag and doc 1), tag says Ack (needs 29):
+        // truncated.
         let mut dec = FrameDecoder::new();
         dec.extend(&9u32.to_le_bytes());
-        dec.extend(&[TAG_ACK, 1, 2, 3, 4, 5, 6, 7, 8]);
+        dec.extend(&[TAG_ACK, 1, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(dec.next::<Char>(), Err(WireError::Truncated));
 
         let mut dec = FrameDecoder::new();

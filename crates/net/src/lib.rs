@@ -1,17 +1,15 @@
 //! # dce-net — deterministic simulated P2P broadcast network
 //!
 //! The paper deploys its prototype on the JXTA P2P platform (§6, Fig. 6).
-//! For a reproducible laboratory we replace the live network with two
-//! substrates that exercise the same code paths:
+//! For a reproducible laboratory we replace the live network with
+//! simulated substrates that exercise the same code paths, next to the
+//! codec a real socket deployment ships:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator: seeded RNG,
 //!   configurable per-message latency, optional reordering, dynamic
 //!   membership (join/leave). Every Fig. 2–5 race of the paper can be
 //!   reproduced *exactly*, and randomized schedules explore far more
 //!   interleavings than a LAN ever would.
-//! * [`parallel`] — a thread-per-site runner over crossbeam channels, for
-//!   wall-clock realism and for exercising the stack under true
-//!   parallelism.
 //! * [`fault`] — the chaos transport: seeded fault plans injecting drops,
 //!   duplication, reordering and scheduled partitions into [`sim`] runs.
 //! * [`reliable`] — the acknowledged session layer (sequence numbers,
@@ -49,7 +47,6 @@
 
 pub mod fault;
 pub mod frame;
-pub mod parallel;
 pub mod reliable;
 pub mod scripted;
 pub mod sim;
@@ -57,9 +54,9 @@ pub mod snapshot;
 pub mod wire;
 
 pub use fault::{FaultPlan, FaultStats, LegFate, Partition};
-pub use frame::{encode_frame, Frame, FrameDecoder, MAX_DOC_ID, MAX_FRAME_LEN};
+pub use frame::{encode_frame, Frame, FrameDecoder, MAX_FRAME_LEN};
 pub use reliable::{Endpoint, Packet, ReliableConfig};
 pub use scripted::{Flight, ScriptedNet};
 pub use sim::{Latency, SimNet, SimStats};
 pub use snapshot::{decode_snapshot, encode_snapshot, transfer};
-pub use wire::{decode_message, encode_message, WireElement, WireError};
+pub use wire::{decode_message, encode_message, WireElement, WireError, MAX_DOC_ID};

@@ -8,20 +8,23 @@
 //! [`crate::wire`], so state transfer can ride the same transport as
 //! ordinary messages.
 
-use crate::wire::{self, WireElement, WireError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dce_core::{DocumentId, Flag, Site};
+use crate::wire::{
+    decode_admin_op, decode_clock, decode_id_list, decode_log_entry, decode_opt_request_id,
+    decode_policy, decode_request_id, encode_admin_op, encode_clock, encode_id_list,
+    encode_log_entry, encode_opt_request_id, encode_policy, encode_request_id, get_bool, get_doc,
+    get_u32, get_u64, get_u8, WireElement, WireError,
+};
+use bytes::{BufMut, Bytes, BytesMut};
+use dce_core::{Flag, Site};
 use dce_document::Element;
 use dce_ot::ids::RequestId;
 use dce_ot::log::Log;
 use dce_ot::Cell;
-use dce_policy::{AdminLog, UserId};
+use dce_policy::{AdminLog, AdminRequest, UserId};
 use std::collections::HashSet;
 
 const MAGIC: u8 = 0xD5; // distinct from message frames
-                        // v4: appends the pruned-flag fold; v3 names the document; v2 decodes as
-                        // the root doc. Older versions decode with a fold of 0 (correct for any
-                        // snapshot taken before flag pruning existed).
+/// The only layout [`decode_snapshot`] accepts.
 const VERSION: u8 = 4;
 
 type Result<T> = std::result::Result<T, WireError>;
@@ -52,52 +55,46 @@ pub fn encode_snapshot<E: Element + WireElement>(site: &Site<E>) -> Bytes {
     for c in &cells {
         c.elem.encode(&mut out);
         c.original.encode(&mut out);
-        match c.creator {
-            None => out.put_u8(0),
-            Some(id) => {
-                out.put_u8(1);
-                wire::encode_id(id, &mut out);
-            }
-        }
+        encode_opt_request_id(c.creator, &mut out);
         out.put_u8(c.ghost as u8);
-        wire::encode_id_list(&c.killers, &mut out);
+        encode_id_list(&c.killers, &mut out);
         out.put_u32_le(c.anon_kills);
         out.put_u32_le(c.chain.len() as u32);
         for link in &c.chain {
-            wire::encode_id(link.id, &mut out);
+            encode_request_id(link.id, &mut out);
             link.value.encode(&mut out);
-            wire::encode_id_list(&link.saw, &mut out);
+            encode_id_list(&link.saw, &mut out);
         }
     }
 
     // Cooperative log.
     out.put_u64_le(log.len() as u64);
     for e in log.iter() {
-        wire::encode_log_entry(e, &mut out);
+        encode_log_entry(e, &mut out);
     }
 
-    wire::encode_clock_pub(&clock, &mut out);
+    encode_clock(&clock, &mut out);
 
     // Pruned-inert identities + count.
     let mut pruned: Vec<RequestId> = pruned_inert.iter().copied().collect();
     pruned.sort();
-    wire::encode_id_list(&pruned, &mut out);
+    encode_id_list(&pruned, &mut out);
     out.put_u64_le(pruned_count as u64);
 
-    wire::encode_policy(&policy, &mut out);
+    encode_policy(&policy, &mut out);
 
     // Administrative log.
     out.put_u64_le(admin_log.len() as u64);
     for r in admin_log.iter() {
         out.put_u32_le(r.admin);
         out.put_u64_le(r.version);
-        wire::encode_admin_op_pub(&r.op, &mut out);
+        encode_admin_op(&r.op, &mut out);
     }
 
     // Flags.
     out.put_u64_le(flags.len() as u64);
     for (id, flag) in &flags {
-        wire::encode_id(*id, &mut out);
+        encode_request_id(*id, &mut out);
         out.put_u8(match flag {
             Flag::Tentative => 0,
             Flag::Valid => 1,
@@ -109,7 +106,7 @@ pub fn encode_snapshot<E: Element + WireElement>(site: &Site<E>) -> Bytes {
     // enforcement replays Check_Remote against these).
     out.put_u64_le(tentative_v.len() as u64);
     for (id, v) in &tentative_v {
-        wire::encode_id(*id, &mut out);
+        encode_request_id(*id, &mut out);
         out.put_u64_le(*v);
     }
 
@@ -127,71 +124,62 @@ pub fn decode_snapshot<E: Element + WireElement>(
     new_user: UserId,
     admin_id: UserId,
 ) -> Result<Site<E>> {
-    if buf.remaining() < 2 || buf.get_u8() != MAGIC {
+    if get_u8(&mut buf)? != MAGIC || get_u8(&mut buf)? != VERSION {
         return Err(WireError::BadHeader);
     }
-    let version = buf.get_u8();
-    if !(2..=VERSION).contains(&version) {
-        return Err(WireError::BadHeader);
-    }
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let _source_user = buf.get_u32_le();
-    // v2 snapshots predate sharding: they describe the root document.
-    let doc =
-        if version >= 3 { DocumentId::new(wire::get_u64_pub(&mut buf)?) } else { DocumentId::ROOT };
+    let _source_user = get_u32(&mut buf)?;
+    let doc = get_doc(&mut buf)?;
 
-    let n_cells = wire::get_u64_pub(&mut buf)? as usize;
+    let n_cells = get_u64(&mut buf)? as usize;
     let mut cells: Vec<Cell<E>> = Vec::with_capacity(n_cells.min(1 << 20));
     for _ in 0..n_cells {
         let elem = E::decode(&mut buf)?;
         let original = E::decode(&mut buf)?;
-        let creator = match wire::get_u8_pub(&mut buf)? {
-            0 => None,
-            1 => Some(wire::decode_id(&mut buf)?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        let ghost = wire::get_u8_pub(&mut buf)? != 0;
-        let killers = wire::decode_id_list(&mut buf)?;
-        let anon_kills = wire::get_u32_pub(&mut buf)?;
-        let n_links = wire::get_u32_pub(&mut buf)? as usize;
+        let creator = decode_opt_request_id(&mut buf)?;
+        let ghost = get_bool(&mut buf)?;
+        let killers = decode_id_list(&mut buf)?;
+        let anon_kills = get_u32(&mut buf)?;
+        let n_links = get_u32(&mut buf)? as usize;
         let mut chain = Vec::with_capacity(n_links.min(1 << 20));
         for _ in 0..n_links {
-            let id = wire::decode_id(&mut buf)?;
+            let id = decode_request_id(&mut buf)?;
             let value = E::decode(&mut buf)?;
-            let saw = wire::decode_id_list(&mut buf)?;
+            let saw = decode_id_list(&mut buf)?;
             chain.push(dce_ot::buffer::ChainLink { id, value, saw });
         }
         cells.push(Cell { elem, original, creator, ghost, killers, anon_kills, chain });
     }
 
-    let n_entries = wire::get_u64_pub(&mut buf)? as usize;
+    let n_entries = get_u64(&mut buf)? as usize;
     let mut log: Log<E> = Log::new();
     for _ in 0..n_entries {
-        log.push_raw(wire::decode_log_entry(&mut buf)?);
+        log.push_raw(decode_log_entry(&mut buf)?);
     }
 
-    let clock = wire::decode_clock_pub(&mut buf)?;
-    let pruned: HashSet<RequestId> = wire::decode_id_list(&mut buf)?.into_iter().collect();
-    let pruned_count = wire::get_u64_pub(&mut buf)? as usize;
-    let policy = wire::decode_policy(&mut buf)?;
+    let clock = decode_clock(&mut buf)?;
+    let pruned: HashSet<RequestId> = decode_id_list(&mut buf)?.into_iter().collect();
+    let pruned_count = get_u64(&mut buf)? as usize;
+    let policy = decode_policy(&mut buf)?;
 
-    let n_admin = wire::get_u64_pub(&mut buf)? as usize;
-    let mut admin_entries = Vec::with_capacity(n_admin.min(1 << 20));
+    let n_admin = get_u64(&mut buf)? as usize;
+    let mut admin_entries: Vec<AdminRequest> = Vec::with_capacity(n_admin.min(1 << 20));
     for _ in 0..n_admin {
-        let admin = wire::get_u32_pub(&mut buf)?;
-        let version = wire::get_u64_pub(&mut buf)?;
-        let op = wire::decode_admin_op_pub(&mut buf)?;
-        admin_entries.push(dce_policy::AdminRequest { admin, version, op });
+        let admin = get_u32(&mut buf)?;
+        let version = get_u64(&mut buf)?;
+        // The log holds strictly ascending versions above 0.
+        if version <= admin_entries.last().map_or(0, |r| r.version) {
+            return Err(WireError::BadHeader);
+        }
+        let op = decode_admin_op(&mut buf)?;
+        admin_entries.push(AdminRequest { admin, version, op });
     }
     let admin_log = AdminLog::from_entries(admin_entries);
 
-    let n_flags = wire::get_u64_pub(&mut buf)? as usize;
+    let n_flags = get_u64(&mut buf)? as usize;
     let mut flags = Vec::with_capacity(n_flags.min(1 << 20));
     for _ in 0..n_flags {
-        let id = wire::decode_id(&mut buf)?;
-        let flag = match wire::get_u8_pub(&mut buf)? {
+        let id = decode_request_id(&mut buf)?;
+        let flag = match get_u8(&mut buf)? {
             0 => Flag::Tentative,
             1 => Flag::Valid,
             2 => Flag::Invalid,
@@ -200,15 +188,15 @@ pub fn decode_snapshot<E: Element + WireElement>(
         flags.push((id, flag));
     }
 
-    let n_tentative = wire::get_u64_pub(&mut buf)? as usize;
+    let n_tentative = get_u64(&mut buf)? as usize;
     let mut tentative_v = Vec::with_capacity(n_tentative.min(1 << 20));
     for _ in 0..n_tentative {
-        let id = wire::decode_id(&mut buf)?;
-        let v = wire::get_u64_pub(&mut buf)?;
+        let id = decode_request_id(&mut buf)?;
+        let v = get_u64(&mut buf)?;
         tentative_v.push((id, v));
     }
 
-    let flags_pruned_fold = if version >= 4 { wire::get_u64_pub(&mut buf)? } else { 0 };
+    let flags_pruned_fold = get_u64(&mut buf)?;
 
     Ok(Site::from_snapshot_parts(
         new_user,
@@ -240,7 +228,8 @@ pub fn transfer<E: Element + WireElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dce_core::Message;
+    use crate::wire::MAX_DOC_ID;
+    use dce_core::{DocumentId, Message};
     use dce_document::{Char, CharDocument, Op};
     use dce_policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
 
@@ -329,19 +318,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_decode_as_the_root_document() {
+    fn any_other_version_byte_is_a_bad_header() {
         let (adm, _) = busy_site();
-        // Re-assemble the v3 bytes as a v2 snapshot: version byte back to
-        // 2 and the document id field removed.
-        let v3 = encode_snapshot(&adm);
-        let mut v2 = Vec::with_capacity(v3.len() - 8);
-        v2.extend_from_slice(&v3[..6]); // magic, version, user
-        v2[1] = 2;
-        v2.extend_from_slice(&v3[14..]); // skip the u64 doc id
-        let restored = decode_snapshot::<Char>(Bytes::from(v2), 9, 0).unwrap();
-        assert_eq!(restored.doc(), DocumentId::ROOT);
-        assert_eq!(restored.document(), adm.document());
-        assert_eq!(restored.policy(), adm.policy());
+        let bytes = encode_snapshot(&adm);
+        assert_eq!(bytes[1], VERSION);
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut other = bytes.to_vec();
+            other[1] = version;
+            let err = decode_snapshot::<Char>(Bytes::from(other), 9, 0).unwrap_err();
+            assert_eq!(err, WireError::BadHeader, "version {version}");
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_document_id_is_rejected() {
+        let (adm, _) = busy_site();
+        // Layout: magic, version, u32 user, u64 document id.
+        let mut bytes =
+            encode_snapshot(&adm.rejoin_as(0).with_document(DocumentId::new(MAX_DOC_ID))).to_vec();
+        assert!(decode_snapshot::<Char>(Bytes::from(bytes.clone()), 9, 0).is_ok());
+        bytes[6..14].copy_from_slice(&(MAX_DOC_ID + 1).to_le_bytes());
+        let err = decode_snapshot::<Char>(Bytes::from(bytes), 9, 0).unwrap_err();
+        assert_eq!(err, WireError::BadDocument(MAX_DOC_ID + 1));
     }
 
     #[test]

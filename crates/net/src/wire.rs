@@ -17,7 +17,7 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dce_core::{AdminProposal, CoopRequest, Message};
+use dce_core::{AdminProposal, CoopRequest, DocumentId, Message};
 use dce_document::{Char, Element, Node, Op, Paragraph};
 use dce_ot::engine::BroadcastRequest;
 use dce_ot::ids::{Clock, RequestId};
@@ -40,9 +40,7 @@ pub enum WireError {
     BadTag(u8),
     /// A string was not valid UTF-8.
     BadUtf8,
-    /// A v3 frame named a document id outside the legal range
-    /// (`0` — which must use the v2 encoding — or above
-    /// [`crate::frame::MAX_DOC_ID`]).
+    /// A frame or snapshot named a document id above [`MAX_DOC_ID`].
     BadDocument(u64),
 }
 
@@ -71,6 +69,16 @@ pub trait WireElement: Element + Sized {
 }
 
 // ---- primitives ----
+//
+// The frame codec, the snapshot codec and `dce-store`'s journal and
+// snapshot files all read through these, so every binary format shares
+// one truncation discipline and one document-id bound.
+
+/// Hard ceiling on an encoded document id. Larger ids are rejected as
+/// [`WireError::BadDocument`]: no deployment hosts 2^48 documents, so a
+/// larger value is a corrupted or hostile input, caught before it can
+/// key unbounded state.
+pub const MAX_DOC_ID: u64 = (1 << 48) - 1;
 
 fn need(buf: &Bytes, n: usize) -> Result<()> {
     if buf.remaining() < n {
@@ -94,19 +102,61 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8> {
+/// Reads one byte.
+pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
     need(buf, 1)?;
     Ok(buf.get_u8())
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32> {
+/// Reads a little-endian `u16`.
+pub(crate) fn get_u16(buf: &mut Bytes) -> Result<u16> {
+    need(buf, 2)?;
+    Ok(buf.get_u16_le())
+}
+
+/// Reads a little-endian `u32`.
+pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
     need(buf, 4)?;
     Ok(buf.get_u32_le())
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64> {
+/// Reads a little-endian `u64`.
+pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
     need(buf, 8)?;
     Ok(buf.get_u64_le())
+}
+
+/// Reads a bool, which is exactly `0` or `1` on the wire.
+pub(crate) fn get_bool(buf: &mut Bytes) -> Result<bool> {
+    match get_u8(buf)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(WireError::BadTag(t)),
+    }
+}
+
+/// Reads a `u32`-counted set of `u32`s. Sets encode in ascending order,
+/// so an out-of-order or repeated member is corrupt.
+fn get_u32_set(buf: &mut Bytes) -> Result<BTreeSet<u32>> {
+    let n = get_u32(buf)?;
+    let mut set = BTreeSet::new();
+    for _ in 0..n {
+        let v = get_u32(buf)?;
+        if set.last().is_some_and(|&last| last >= v) {
+            return Err(WireError::BadHeader);
+        }
+        set.insert(v);
+    }
+    Ok(set)
+}
+
+/// Reads a `u64` document id, rejecting ids above [`MAX_DOC_ID`].
+pub fn get_doc(buf: &mut Bytes) -> Result<DocumentId> {
+    let doc = get_u64(buf)?;
+    if doc > MAX_DOC_ID {
+        return Err(WireError::BadDocument(doc));
+    }
+    Ok(DocumentId::new(doc))
 }
 
 impl WireElement for Char {
@@ -147,16 +197,15 @@ impl WireElement for Node {
         for _ in 0..n {
             attrs.push((get_str(buf)?, get_str(buf)?));
         }
-        let text = get_str(buf)?;
-        need(buf, 2)?;
-        let depth = buf.get_u16_le();
-        Ok(Node { tag, attrs, text, depth })
+        Ok(Node { tag, attrs, text: get_str(buf)?, depth: get_u16(buf)? })
     }
 }
 
 // ---- operations ----
 
-fn encode_op<E: WireElement>(op: &Op<E>, out: &mut BytesMut) {
+/// Encodes one cooperative operation in visible coordinates (the form
+/// [`dce_ot::engine::Engine::generate`] accepts).
+pub fn encode_op<E: WireElement>(op: &Op<E>, out: &mut BytesMut) {
     match op {
         Op::Nop => out.put_u8(0),
         Op::Ins { pos, elem } => {
@@ -178,7 +227,8 @@ fn encode_op<E: WireElement>(op: &Op<E>, out: &mut BytesMut) {
     }
 }
 
-fn decode_op<E: WireElement>(buf: &mut Bytes) -> Result<Op<E>> {
+/// Decodes an operation written by [`encode_op`].
+pub fn decode_op<E: WireElement>(buf: &mut Bytes) -> Result<Op<E>> {
     match get_u8(buf)? {
         0 => Ok(Op::Nop),
         1 => Ok(Op::Ins { pos: get_u64(buf)? as usize, elem: E::decode(buf)? }),
@@ -188,16 +238,57 @@ fn decode_op<E: WireElement>(buf: &mut Bytes) -> Result<Op<E>> {
     }
 }
 
-fn encode_request_id(id: RequestId, out: &mut BytesMut) {
+/// Encodes a request identity (`site`, `seq`).
+pub fn encode_request_id(id: RequestId, out: &mut BytesMut) {
     out.put_u32_le(id.site);
     out.put_u64_le(id.seq);
 }
 
-fn decode_request_id(buf: &mut Bytes) -> Result<RequestId> {
+/// Decodes a request identity written by [`encode_request_id`].
+pub fn decode_request_id(buf: &mut Bytes) -> Result<RequestId> {
     Ok(RequestId::new(get_u32(buf)?, get_u64(buf)?))
 }
 
-fn encode_clock(clock: &Clock, out: &mut BytesMut) {
+/// Encodes an optional request identity as `0`, or `1 ‖ id`.
+pub(crate) fn encode_opt_request_id(id: Option<RequestId>, out: &mut BytesMut) {
+    match id {
+        None => out.put_u8(0),
+        Some(id) => {
+            out.put_u8(1);
+            encode_request_id(id, out);
+        }
+    }
+}
+
+/// Decodes an identity written by [`encode_opt_request_id`].
+pub(crate) fn decode_opt_request_id(buf: &mut Bytes) -> Result<Option<RequestId>> {
+    match get_u8(buf)? {
+        0 => Ok(None),
+        1 => Ok(Some(decode_request_id(buf)?)),
+        t => Err(WireError::BadTag(t)),
+    }
+}
+
+/// Encodes a length-prefixed list of request identities.
+pub fn encode_id_list(ids: &[RequestId], out: &mut BytesMut) {
+    out.put_u32_le(ids.len() as u32);
+    for id in ids {
+        encode_request_id(*id, out);
+    }
+}
+
+/// Decodes a list written by [`encode_id_list`].
+pub fn decode_id_list(buf: &mut Bytes) -> Result<Vec<RequestId>> {
+    let n = get_u32(buf)? as usize;
+    let mut out = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        out.push(decode_request_id(buf)?);
+    }
+    Ok(out)
+}
+
+/// Encodes a causal clock as `(site, count)` pairs.
+pub fn encode_clock(clock: &Clock, out: &mut BytesMut) {
     let pairs: Vec<(u32, u64)> = clock.iter().collect();
     out.put_u32_le(pairs.len() as u32);
     for (site, n) in pairs {
@@ -206,12 +297,19 @@ fn encode_clock(clock: &Clock, out: &mut BytesMut) {
     }
 }
 
-fn decode_clock(buf: &mut Bytes) -> Result<Clock> {
+/// Decodes a clock written by [`encode_clock`]: sites strictly ascending,
+/// counts nonzero, exactly as a [`Clock`] iterates.
+pub fn decode_clock(buf: &mut Bytes) -> Result<Clock> {
     let n = get_u32(buf)? as usize;
     let mut clock = Clock::new();
+    let mut prev = None;
     for _ in 0..n {
         let site = get_u32(buf)?;
         let count = get_u64(buf)?;
+        if count == 0 || prev.is_some_and(|p| p >= site) {
+            return Err(WireError::BadHeader);
+        }
+        prev = Some(site);
         clock.set(site, count);
     }
     Ok(clock)
@@ -244,14 +342,7 @@ fn decode_subject(buf: &mut Bytes) -> Result<Subject> {
     match get_u8(buf)? {
         0 => Ok(Subject::All),
         1 => Ok(Subject::User(get_u32(buf)?)),
-        2 => {
-            let n = get_u32(buf)? as usize;
-            let mut set = BTreeSet::new();
-            for _ in 0..n {
-                set.insert(get_u32(buf)?);
-            }
-            Ok(Subject::Users(set))
-        }
+        2 => Ok(Subject::Users(get_u32_set(buf)?)),
         3 => Ok(Subject::Group(get_str(buf)?)),
         t => Err(WireError::BadTag(t)),
     }
@@ -312,22 +403,28 @@ fn encode_auth(a: &Authorization, out: &mut BytesMut) {
     for r in &a.rights {
         out.put_u8(right_tag(*r));
     }
-    out.put_u8(if matches!(a.sign, Sign::Plus) { 1 } else { 0 });
+    out.put_u8(u8::from(matches!(a.sign, Sign::Plus)));
 }
 
 fn decode_auth(buf: &mut Bytes) -> Result<Authorization> {
     let subject = decode_subject(buf)?;
     let object = decode_object(buf)?;
     let n = get_u8(buf)? as usize;
-    let mut rights = Vec::with_capacity(n);
+    let mut rights = BTreeSet::new();
     for _ in 0..n {
-        rights.push(right_from(get_u8(buf)?)?);
+        let right = right_from(get_u8(buf)?)?;
+        // A rights set encodes in ascending order.
+        if rights.last().is_some_and(|&last| last >= right) {
+            return Err(WireError::BadHeader);
+        }
+        rights.insert(right);
     }
-    let sign = if get_u8(buf)? == 1 { Sign::Plus } else { Sign::Minus };
+    let sign = if get_bool(buf)? { Sign::Plus } else { Sign::Minus };
     Ok(Authorization::new(subject, object, rights, sign))
 }
 
-fn encode_admin_op(op: &AdminOp, out: &mut BytesMut) {
+/// Encodes one administrative operation.
+pub fn encode_admin_op(op: &AdminOp, out: &mut BytesMut) {
     match op {
         AdminOp::AddUser(u) => {
             out.put_u8(0);
@@ -380,7 +477,8 @@ fn encode_admin_op(op: &AdminOp, out: &mut BytesMut) {
     }
 }
 
-fn decode_admin_op(buf: &mut Bytes) -> Result<AdminOp> {
+/// Decodes an operation written by [`encode_admin_op`].
+pub fn decode_admin_op(buf: &mut Bytes) -> Result<AdminOp> {
     match get_u8(buf)? {
         0 => Ok(AdminOp::AddUser(get_u32(buf)?)),
         1 => Ok(AdminOp::DelUser(get_u32(buf)?)),
@@ -389,15 +487,7 @@ fn decode_admin_op(buf: &mut Bytes) -> Result<AdminOp> {
         4 => Ok(AdminOp::AddAuth { pos: get_u64(buf)? as usize, auth: decode_auth(buf)? }),
         5 => Ok(AdminOp::DelAuth { pos: get_u64(buf)? as usize, auth: decode_auth(buf)? }),
         6 => Ok(AdminOp::Validate { site: get_u32(buf)?, seq: get_u64(buf)? }),
-        7 => {
-            let name = get_str(buf)?;
-            let n = get_u32(buf)? as usize;
-            let mut members = BTreeSet::new();
-            for _ in 0..n {
-                members.insert(get_u32(buf)?);
-            }
-            Ok(AdminOp::SetGroup { name, members })
-        }
+        7 => Ok(AdminOp::SetGroup { name: get_str(buf)?, members: get_u32_set(buf)? }),
         8 => Ok(AdminOp::Delegate(get_u32(buf)?)),
         9 => Ok(AdminOp::RevokeDelegation(get_u32(buf)?)),
         t => Err(WireError::BadTag(t)),
@@ -413,13 +503,7 @@ pub fn encode_message<E: WireElement>(msg: &Message<E>) -> Bytes {
         Message::Coop(q) => {
             out.put_u8(0);
             encode_request_id(q.ot.id, &mut out);
-            match q.ot.dep {
-                None => out.put_u8(0),
-                Some(dep) => {
-                    out.put_u8(1);
-                    encode_request_id(dep, &mut out);
-                }
-            }
+            encode_opt_request_id(q.ot.dep, &mut out);
             encode_op(&q.ot.top.op, &mut out);
             out.put_u64_le(q.ot.top.origin as u64);
             out.put_u32_le(q.ot.top.site);
@@ -446,139 +530,55 @@ pub fn encode_message<E: WireElement>(msg: &Message<E>) -> Bytes {
     out.freeze()
 }
 
-/// Decodes one frame produced by [`encode_message`].
+/// Decodes one frame produced by [`encode_message`]. The frame must hold
+/// exactly one message: leftover bytes are [`WireError::BadHeader`].
 pub fn decode_message<E: WireElement>(mut buf: Bytes) -> Result<Message<E>> {
     if get_u8(&mut buf)? != MAGIC || get_u8(&mut buf)? != VERSION {
         return Err(WireError::BadHeader);
     }
-    match get_u8(&mut buf)? {
+    let msg = match get_u8(&mut buf)? {
         0 => {
             let id = decode_request_id(&mut buf)?;
-            let dep = match get_u8(&mut buf)? {
-                0 => None,
-                1 => Some(decode_request_id(&mut buf)?),
-                t => return Err(WireError::BadTag(t)),
-            };
+            let dep = decode_opt_request_id(&mut buf)?;
             let op = decode_op::<E>(&mut buf)?;
             let origin = get_u64(&mut buf)? as usize;
             let site = get_u32(&mut buf)?;
             let ctx = decode_clock(&mut buf)?;
             let v = get_u64(&mut buf)?;
-            Ok(Message::Coop(CoopRequest {
+            Message::Coop(CoopRequest {
                 ot: BroadcastRequest { id, dep, top: TOp { op, origin, site }, ctx },
                 v,
-            }))
+            })
         }
         1 => {
             let admin = get_u32(&mut buf)?;
             let version = get_u64(&mut buf)?;
             let op = decode_admin_op(&mut buf)?;
-            Ok(Message::Admin(AdminRequest { admin, version, op }))
+            Message::Admin(AdminRequest { admin, version, op })
         }
         2 => {
             let from = get_u32(&mut buf)?;
             let op = decode_admin_op(&mut buf)?;
-            Ok(Message::Proposal(AdminProposal { from, op }))
+            Message::Proposal(AdminProposal { from, op })
         }
         3 => {
             let from = get_u32(&mut buf)?;
             let clock = decode_clock(&mut buf)?;
-            Ok(Message::Heartbeat { from, clock })
+            Message::Heartbeat { from, clock }
         }
-        t => Err(WireError::BadTag(t)),
+        t => return Err(WireError::BadTag(t)),
+    };
+    if buf.remaining() != 0 {
+        return Err(WireError::BadHeader);
     }
+    Ok(msg)
 }
 
-// ---- codec primitives shared with `snapshot` and `dce-store` ----
-//
-// The persistence crate reuses these exact encoders for its WAL record
-// payloads and snapshot supplements, so durable bytes and wire bytes
-// stay one format. They are public API of the codec, documented as such.
-
-/// Reads one byte with the codec's truncation discipline.
-pub fn get_u8_pub(buf: &mut Bytes) -> Result<u8> {
-    get_u8(buf)
-}
-
-/// Reads a little-endian `u32` with the codec's truncation discipline.
-pub fn get_u32_pub(buf: &mut Bytes) -> Result<u32> {
-    get_u32(buf)
-}
-
-/// Reads a little-endian `u64` with the codec's truncation discipline.
-pub fn get_u64_pub(buf: &mut Bytes) -> Result<u64> {
-    get_u64(buf)
-}
-
-/// Encodes a request identity (`site`, `seq`).
-pub fn encode_id(id: RequestId, out: &mut BytesMut) {
-    encode_request_id(id, out)
-}
-
-/// Decodes a request identity written by [`encode_id`].
-pub fn decode_id(buf: &mut Bytes) -> Result<RequestId> {
-    decode_request_id(buf)
-}
-
-/// Encodes a length-prefixed list of request identities.
-pub fn encode_id_list(ids: &[RequestId], out: &mut BytesMut) {
-    out.put_u32_le(ids.len() as u32);
-    for id in ids {
-        encode_request_id(*id, out);
-    }
-}
-
-/// Decodes a list written by [`encode_id_list`].
-pub fn decode_id_list(buf: &mut Bytes) -> Result<Vec<RequestId>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(decode_request_id(buf)?);
-    }
-    Ok(out)
-}
-
-/// Encodes a causal clock as `(site, count)` pairs.
-pub fn encode_clock_pub(clock: &Clock, out: &mut BytesMut) {
-    encode_clock(clock, out)
-}
-
-/// Decodes a clock written by [`encode_clock_pub`].
-pub fn decode_clock_pub(buf: &mut Bytes) -> Result<Clock> {
-    decode_clock(buf)
-}
-
-/// Encodes one administrative operation.
-pub fn encode_admin_op_pub(op: &AdminOp, out: &mut BytesMut) {
-    encode_admin_op(op, out)
-}
-
-/// Decodes an operation written by [`encode_admin_op_pub`].
-pub fn decode_admin_op_pub(buf: &mut Bytes) -> Result<AdminOp> {
-    decode_admin_op(buf)
-}
-
-/// Encodes one cooperative operation in visible coordinates (the form
-/// [`dce_ot::engine::Engine::generate`] accepts — what a durable journal
-/// must record to re-execute a local generation).
-pub fn encode_op_pub<E: WireElement>(op: &Op<E>, out: &mut BytesMut) {
-    encode_op(op, out)
-}
-
-/// Decodes an operation written by [`encode_op_pub`].
-pub fn decode_op_pub<E: WireElement>(buf: &mut Bytes) -> Result<Op<E>> {
-    decode_op(buf)
-}
+// ---- snapshot structures ----
 
 pub(crate) fn encode_log_entry<E: WireElement>(e: &LogEntry<E>, out: &mut BytesMut) {
     encode_request_id(e.id, out);
-    match e.dep {
-        None => out.put_u8(0),
-        Some(dep) => {
-            out.put_u8(1);
-            encode_request_id(dep, out);
-        }
-    }
+    encode_opt_request_id(e.dep, out);
     encode_op(&e.top.op, out);
     out.put_u64_le(e.top.origin as u64);
     out.put_u32_le(e.top.site);
@@ -589,16 +589,12 @@ pub(crate) fn encode_log_entry<E: WireElement>(e: &LogEntry<E>, out: &mut BytesM
 
 pub(crate) fn decode_log_entry<E: WireElement>(buf: &mut Bytes) -> Result<LogEntry<E>> {
     let id = decode_request_id(buf)?;
-    let dep = match get_u8(buf)? {
-        0 => None,
-        1 => Some(decode_request_id(buf)?),
-        t => return Err(WireError::BadTag(t)),
-    };
+    let dep = decode_opt_request_id(buf)?;
     let op = decode_op::<E>(buf)?;
     let origin = get_u64(buf)? as usize;
     let site = get_u32(buf)?;
     let base = decode_op::<E>(buf)?;
-    let inert = get_u8(buf)? != 0;
+    let inert = get_bool(buf)?;
     let ctx = decode_clock(buf)?;
     Ok(LogEntry { id, dep, top: TOp { op, origin, site }, base, inert, ctx })
 }
@@ -640,19 +636,13 @@ pub(crate) fn decode_policy(buf: &mut Bytes) -> Result<Policy> {
         let auth = decode_auth(buf)?;
         policy.add_auth_at(i, auth).map_err(|_| WireError::BadTag(0xEE))?;
     }
-    let n_users = get_u32(buf)? as usize;
-    for _ in 0..n_users {
-        policy.add_user(get_u32(buf)?);
+    for user in get_u32_set(buf)? {
+        policy.add_user(user);
     }
     let n_groups = get_u32(buf)? as usize;
     for _ in 0..n_groups {
         let name = get_str(buf)?;
-        let n = get_u32(buf)? as usize;
-        let mut members = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            members.push(get_u32(buf)?);
-        }
-        policy.set_group(name, members);
+        policy.set_group(name, get_u32_set(buf)?);
     }
     let n_objects = get_u32(buf)? as usize;
     for _ in 0..n_objects {
@@ -660,9 +650,8 @@ pub(crate) fn decode_policy(buf: &mut Bytes) -> Result<Policy> {
         let object = decode_object(buf)?;
         policy.add_object(name, object).map_err(|_| WireError::BadTag(0xEF))?;
     }
-    let n_delegates = get_u32(buf)? as usize;
-    for _ in 0..n_delegates {
-        policy.add_delegate(get_u32(buf)?);
+    for delegate in get_u32_set(buf)? {
+        policy.add_delegate(delegate);
     }
     policy.set_version(get_u64(buf)?);
     Ok(policy)

@@ -98,9 +98,8 @@ fn message_pool() -> &'static [Arc<Message<Char>>] {
 /// every message kind alongside the control frames.
 fn frame_for(kind: u8, a: u32, b: u64) -> Frame<Char> {
     let pool = message_pool();
-    // Cycle the document id so generated sequences interleave v2 (root)
-    // and v3 (doc-tagged) encodings of the same frame kinds, including
-    // the extreme legal id.
+    // Cycle the document id so generated sequences interleave the root
+    // document, ordinary documents and the extreme legal id.
     let doc = match b % 3 {
         0 => DocumentId::ROOT,
         1 => DocumentId::new(u64::from(a) + 1),
@@ -345,10 +344,12 @@ fn a_metrics_report_with_out_of_layout_buckets_is_rejected_over_tcp() {
 }
 
 #[test]
-fn v2_frames_decode_with_the_default_document() {
-    // Hand-assembled pre-sharding (codec v2) bytes: an Ack frame is
-    // tag 3 ‖ u32 from ‖ u64 epoch ‖ u64 cum, length-prefixed.
+fn a_root_document_ack_has_the_one_current_layout() {
+    // Hand-assembled bytes: an Ack frame is
+    // tag 3 ‖ u64 doc ‖ u32 from ‖ u64 epoch ‖ u64 cum, length-prefixed,
+    // and the root document is doc 0.
     let mut body = vec![3u8];
+    body.extend_from_slice(&0u64.to_le_bytes());
     body.extend_from_slice(&7u32.to_le_bytes());
     body.extend_from_slice(&2u64.to_le_bytes());
     body.extend_from_slice(&99u64.to_le_bytes());
@@ -358,23 +359,22 @@ fn v2_frames_decode_with_the_default_document() {
     assert_eq!(out, vec![Ok(Frame::Ack { doc: DocumentId::ROOT, from: 7, epoch: 2, cum: 99 })]);
     assert_eq!(leftover, 0);
 
-    // And the encoder keeps emitting exactly those bytes for root-doc
-    // frames: the first body byte is the v2 tag, with no document field.
+    // And the encoder emits exactly those bytes.
     let enc =
         encode_frame(&Frame::<Char>::Ack { doc: DocumentId::ROOT, from: 7, epoch: 2, cum: 99 });
-    assert_eq!(enc.to_vec(), bytes, "root-document frames stay v2 byte-identical");
+    assert_eq!(enc.to_vec(), bytes);
 }
 
 #[test]
 fn mixed_document_frames_share_one_decoder() {
-    // One connection multiplexing three documents (plus v2 root-doc
+    // One connection multiplexing three documents (plus root-document
     // traffic) through a single FrameDecoder, dribbled byte by byte.
     let frames: Vec<Frame<Char>> = vec![
-        frame_for(9, 1, 3), // root doc (v2 Data)
-        frame_for(9, 1, 1), // doc 2 (v3 Data)
+        frame_for(9, 1, 3), // root doc
+        frame_for(9, 1, 1), // doc 2
         Frame::Ack { doc: DocumentId::new(5), from: 1, epoch: 1, cum: 4 },
         Frame::DigestRequest { session: 1, doc: DocumentId::new(9) },
-        frame_for(10, 2, 4), // doc 3 (v3 Data)
+        frame_for(10, 2, 4), // doc 3
         Frame::Bye { user: 1 },
     ];
     let mut bytes = Vec::new();
@@ -396,27 +396,29 @@ fn mixed_document_frames_share_one_decoder() {
 
 #[test]
 fn bad_document_ids_are_rejected_over_tcp() {
-    // A v3 Ack (tag 10) must not name the root document — that encoding
-    // is reserved for the v2 tag.
-    let mut body = vec![10u8];
-    body.extend_from_slice(&0u64.to_le_bytes());
-    body.extend_from_slice(&7u32.to_le_bytes());
-    body.extend_from_slice(&2u64.to_le_bytes());
-    body.extend_from_slice(&99u64.to_le_bytes());
-    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
-    bytes.extend_from_slice(&body);
-    let (out, _) = round_trip_bytes(&bytes, 4);
-    assert_eq!(out, vec![Err(WireError::BadDocument(0))]);
-
-    // …and ids above MAX_DOC_ID are corrupt, whatever the frame kind.
+    // Ids above MAX_DOC_ID are corrupt, whatever the frame kind.
     let huge = MAX_DOC_ID + 1;
-    let mut body = vec![11u8]; // v3 DigestRequest
+    let mut body = vec![6u8]; // StatusRequest
     body.extend_from_slice(&huge.to_le_bytes());
     body.extend_from_slice(&1u32.to_le_bytes());
     let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
     bytes.extend_from_slice(&body);
     let (out, _) = round_trip_bytes(&bytes, 4);
     assert_eq!(out, vec![Err(WireError::BadDocument(huge))]);
+
+    // Tags 9–14 are unassigned: a well-formed Ack body behind any of
+    // them is an unknown tag.
+    for tag in 9u8..=14 {
+        let mut body = vec![tag];
+        body.extend_from_slice(&5u64.to_le_bytes());
+        body.extend_from_slice(&7u32.to_le_bytes());
+        body.extend_from_slice(&2u64.to_le_bytes());
+        body.extend_from_slice(&99u64.to_le_bytes());
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        let (out, _) = round_trip_bytes(&bytes, 4);
+        assert_eq!(out, vec![Err(WireError::BadTag(tag))]);
+    }
 }
 
 #[test]
@@ -450,12 +452,12 @@ fn a_length_and_body_disagreement_is_rejected_over_tcp() {
 
 #[test]
 fn garbage_inside_a_data_payload_is_rejected_over_tcp() {
-    // A root-document (v2 layout) Data frame whose embedded wire message
-    // has a corrupt magic byte.
+    // A root-document Data frame whose embedded wire message has a
+    // corrupt magic byte.
     let good = encode_frame(&frame_for(9, 1, 3));
     let mut bytes = good.to_vec();
-    // Layout: u32 len ‖ tag ‖ u32 src ‖ 4×u64 ‖ u32 payload len ‖ payload.
-    let payload_at = 4 + 1 + 4 + 32 + 4;
+    // Layout: u32 len ‖ tag ‖ u64 doc ‖ u32 src ‖ 4×u64 ‖ u32 payload len ‖ payload.
+    let payload_at = 4 + 1 + 8 + 4 + 32 + 4;
     bytes[payload_at] ^= 0xFF; // wire MAGIC is checked first
     let (out, _) = round_trip_bytes(&bytes, 7);
     assert_eq!(out.len(), 1);

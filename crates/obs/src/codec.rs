@@ -6,10 +6,8 @@
 //! event   := u32 site  u64 seq  u64 version  u64 lamport  u64 at  u64 doc  u8 tag  fields
 //! ```
 //!
-//! Older journals still decode: version 1 (no `at` stamp, tags 0–19,
-//! uncorrelated retransmits) comes back with `at = 0` and no request
-//! correlation; version 2 (no document tag) comes back with `doc = 0`,
-//! the single-document default — exactly what those writers knew.
+//! [`decode_journal`] accepts only this format: any other version byte is
+//! [`CodecError::BadHeader`].
 
 use crate::event::{DeferReason, Event, EventKind, ReqId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -208,18 +206,14 @@ pub fn encode_event(ev: &Event, out: &mut BytesMut) {
     }
 }
 
-/// Decodes one current-version event (no header; see [`decode_journal`]).
+/// Decodes one event (no header; see [`decode_journal`]).
 pub fn decode_event(buf: &mut Bytes) -> Result<Event> {
-    decode_event_versioned(buf, VERSION)
-}
-
-fn decode_event_versioned(buf: &mut Bytes, format: u8) -> Result<Event> {
     let site = get_u32(buf)?;
     let seq = get_u64(buf)?;
     let version = get_u64(buf)?;
     let lamport = get_u64(buf)?;
-    let at = if format >= 2 { get_u64(buf)? } else { 0 };
-    let doc = if format >= 3 { get_u64(buf)? } else { 0 };
+    let at = get_u64(buf)?;
+    let doc = get_u64(buf)?;
     let kind = match get_u8(buf)? {
         0 => EventKind::ReqGenerated { id: get_req_id(buf)? },
         1 => EventKind::ReqReceived { id: get_req_id(buf)? },
@@ -239,14 +233,10 @@ fn decode_event_versioned(buf: &mut Bytes, format: u8) -> Result<Event> {
             src: get_u32(buf)?,
             dest: get_u32(buf)?,
             stream_seq: get_u64(buf)?,
-            req: if format >= 2 {
-                match get_u8(buf)? {
-                    0 => None,
-                    1 => Some(get_req_id(buf)?),
-                    t => return Err(CodecError::BadTag(t)),
-                }
-            } else {
-                None
+            req: match get_u8(buf)? {
+                0 => None,
+                1 => Some(get_req_id(buf)?),
+                t => return Err(CodecError::BadTag(t)),
             },
         },
         15 => EventKind::LegDropped { src: get_u32(buf)?, dest: get_u32(buf)? },
@@ -254,7 +244,7 @@ fn decode_event_versioned(buf: &mut Bytes, format: u8) -> Result<Event> {
         17 => EventKind::PartitionHealed { at_ms: get_u64(buf)? },
         18 => EventKind::SiteCrashed { site: get_u32(buf)? },
         19 => EventKind::SiteRejoined { site: get_u32(buf)? },
-        20 if format >= 2 => EventKind::ReqStable { id: get_req_id(buf)? },
+        20 => EventKind::ReqStable { id: get_req_id(buf)? },
         t => return Err(CodecError::BadTag(t)),
     };
     Ok(Event { site, doc, seq, version, lamport, at, kind })
@@ -272,21 +262,15 @@ pub fn encode_journal(events: &[Event]) -> Bytes {
     out.freeze()
 }
 
-/// Decodes a whole journal produced by [`encode_journal`] — the current
-/// format, or a V1 journal written before events carried `at` stamps.
+/// Decodes a whole journal produced by [`encode_journal`].
 pub fn decode_journal(mut buf: Bytes) -> Result<Vec<Event>> {
-    need(&buf, 2)?;
-    if buf.get_u8() != MAGIC {
-        return Err(CodecError::BadHeader);
-    }
-    let format = buf.get_u8();
-    if format == 0 || format > VERSION {
+    if get_u8(&mut buf)? != MAGIC || get_u8(&mut buf)? != VERSION {
         return Err(CodecError::BadHeader);
     }
     let count = get_u32(&mut buf)? as usize;
     let mut events = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        events.push(decode_event_versioned(&mut buf, format)?);
+        events.push(decode_event(&mut buf)?);
     }
     Ok(events)
 }
@@ -363,12 +347,15 @@ mod tests {
         out.put_u8(VERSION);
         out.put_u32_le(0);
         assert_eq!(decode_journal(out.freeze()), Err(CodecError::BadHeader));
-        // A format newer than this build is also rejected.
-        let mut out = BytesMut::new();
-        out.put_u8(MAGIC);
-        out.put_u8(VERSION + 1);
-        out.put_u32_le(0);
-        assert_eq!(decode_journal(out.freeze()), Err(CodecError::BadHeader));
+        // Only the current format decodes: formats 1 and 2, and any other
+        // version byte, are rejected.
+        for format in (0..=u8::MAX).filter(|&f| f != VERSION) {
+            let mut out = BytesMut::new();
+            out.put_u8(MAGIC);
+            out.put_u8(format);
+            out.put_u32_le(0);
+            assert_eq!(decode_journal(out.freeze()), Err(CodecError::BadHeader), "format {format}");
+        }
     }
 
     #[test]
@@ -385,107 +372,5 @@ mod tests {
         let bytes = encode_journal(&events);
         let cut = bytes.slice(0..bytes.len() - 1);
         assert_eq!(decode_journal(cut), Err(CodecError::Truncated));
-    }
-
-    /// Hand-assembles a version-1 journal (pre-`at`, pre-correlation) and
-    /// checks it still decodes, with `at = 0` and uncorrelated retransmits.
-    #[test]
-    fn v1_journal_still_decodes() {
-        let mut out = BytesMut::new();
-        out.put_u8(MAGIC);
-        out.put_u8(1); // format version 1
-        out.put_u32_le(2);
-        // Event 1: site 1, seq 1, version 0, lamport 1, ReqGenerated 1#1.
-        out.put_u32_le(1);
-        out.put_u64_le(1);
-        out.put_u64_le(0);
-        out.put_u64_le(1);
-        out.put_u8(0);
-        out.put_u32_le(1);
-        out.put_u64_le(1);
-        // Event 2: site 2, seq 1, version 0, lamport 2, retransmit 2→1 seq 7
-        // (V1 layout: no trailing request-correlation option).
-        out.put_u32_le(2);
-        out.put_u64_le(1);
-        out.put_u64_le(0);
-        out.put_u64_le(2);
-        out.put_u8(14);
-        out.put_u32_le(2);
-        out.put_u32_le(1);
-        out.put_u64_le(7);
-        let events = decode_journal(out.freeze()).unwrap();
-        assert_eq!(
-            events,
-            vec![
-                Event {
-                    site: 1,
-                    doc: 0,
-                    seq: 1,
-                    version: 0,
-                    lamport: 1,
-                    at: 0,
-                    kind: EventKind::ReqGenerated { id: ReqId::new(1, 1) },
-                },
-                Event {
-                    site: 2,
-                    doc: 0,
-                    seq: 1,
-                    version: 0,
-                    lamport: 2,
-                    at: 0,
-                    kind: EventKind::StreamRetransmit { src: 2, dest: 1, stream_seq: 7, req: None },
-                },
-            ]
-        );
-    }
-
-    /// Hand-assembles a version-2 journal (pre-document-tag) and checks
-    /// it still decodes, with `doc = 0` — the single-document default.
-    #[test]
-    fn v2_journal_still_decodes() {
-        let mut out = BytesMut::new();
-        out.put_u8(MAGIC);
-        out.put_u8(2); // format version 2
-        out.put_u32_le(1);
-        // site 4, seq 2, version 1, lamport 9, at 33, ReqExecuted 4#2 —
-        // V2 layout: no doc word between `at` and the tag byte.
-        out.put_u32_le(4);
-        out.put_u64_le(2);
-        out.put_u64_le(1);
-        out.put_u64_le(9);
-        out.put_u64_le(33);
-        out.put_u8(4);
-        out.put_u32_le(4);
-        out.put_u64_le(2);
-        let events = decode_journal(out.freeze()).unwrap();
-        assert_eq!(
-            events,
-            vec![Event {
-                site: 4,
-                doc: 0,
-                seq: 2,
-                version: 1,
-                lamport: 9,
-                at: 33,
-                kind: EventKind::ReqExecuted { id: ReqId::new(4, 2) },
-            }]
-        );
-    }
-
-    /// A V1 journal cannot carry tag 20 (`ReqStable` did not exist).
-    #[test]
-    fn v1_rejects_v2_only_tags() {
-        let mut out = BytesMut::new();
-        out.put_u8(MAGIC);
-        out.put_u8(1);
-        out.put_u32_le(1);
-        out.put_u32_le(1);
-        out.put_u64_le(1);
-        out.put_u64_le(0);
-        out.put_u64_le(1);
-        out.put_u8(20);
-        out.put_u32_le(1);
-        out.put_u64_le(1);
-        assert_eq!(decode_journal(out.freeze()), Err(CodecError::BadTag(20)));
     }
 }

@@ -14,7 +14,7 @@
 //! * `at` — a timestamp from whatever time source the handle's owner
 //!   installed: simulated-net milliseconds when a `SimNet` drives the
 //!   clock, wall-clock nanoseconds since the handle's creation for the
-//!   threaded runner, 0 when no source is installed. `dce-trace` uses it
+//!   socket server and load generator, 0 when no source is installed. `dce-trace` uses it
 //!   for per-phase latency attribution.
 //!
 //! The kinds mirror the protocol's observable transitions: the

@@ -153,8 +153,8 @@ impl ObsHandle {
     }
 
     /// Stamps events with wall-clock nanoseconds since the handle's
-    /// creation — the right source for the threaded runner, where no
-    /// simulated clock exists.
+    /// creation — the right source for the socket server and load
+    /// generator, where no simulated clock exists.
     pub fn use_wall_time(&self) {
         if let Some(obs) = &self.inner {
             obs.time_mode.store(TIME_WALL, Ordering::Relaxed);

@@ -148,9 +148,10 @@ fn quantile(buckets: &[(u16, u64)], count: u64, q: f64) -> u64 {
         return 0;
     }
     let rank = ((count as f64) * q).ceil() as u64;
-    let mut seen = 0;
+    let mut seen = 0u64;
     for &(i, c) in buckets {
-        seen += c;
+        // Saturating: a decoded scrape's counts are outside input.
+        seen = seen.saturating_add(c);
         if seen >= rank {
             return bucket_floor(i as usize);
         }

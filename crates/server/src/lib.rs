@@ -69,7 +69,7 @@ pub struct ServerConfig {
     /// administrator, hosted here).
     pub users: u32,
     /// Documents hosted per session (ids `0..docs`; document 0 is the
-    /// default that pre-sharding clients address implicitly).
+    /// root document, [`dce_core::DocumentId::ROOT`]).
     pub docs: u32,
     /// Initial document content, shared by every replica.
     pub doc: String,

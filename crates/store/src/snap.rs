@@ -1,7 +1,7 @@
 //! Durable full-replica snapshots: the `dce-net` state-transfer codec
 //! wrapped in an on-disk envelope.
 //!
-//! The network snapshot (`dce_net::snapshot`, v3) captures what a
+//! The network snapshot (`dce_net::snapshot`, version 4) captures what a
 //! *joining peer* needs — document cells, OT log, clock, policy,
 //! administrative log, flags. A *recovering replica* needs more: the
 //! transient per-site state that the digest covers but a transfer
@@ -24,7 +24,10 @@ use crate::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dce_core::{AdminProposal, Site};
 use dce_document::Element;
-use dce_net::wire::{self, WireElement};
+use dce_net::wire::{
+    decode_admin_op, decode_clock, decode_id_list, encode_admin_op, encode_clock, encode_id_list,
+    get_doc, get_u32, get_u64, get_u8, WireElement,
+};
 use dce_ot::ids::Clock;
 use dce_policy::UserId;
 use std::collections::HashMap;
@@ -54,15 +57,15 @@ pub fn encode_store_snapshot<E: Element + WireElement>(
     out.put_u32_le(clocks.len() as u32);
     for (u, c) in clocks {
         out.put_u32_le(*u);
-        wire::encode_clock_pub(c, &mut out);
+        encode_clock(c, &mut out);
     }
-    wire::encode_id_list(site.denials(), &mut out);
-    wire::encode_id_list(site.undone(), &mut out);
+    encode_id_list(site.denials(), &mut out);
+    encode_id_list(site.undone(), &mut out);
     let rejected = site.rejected_proposals();
     out.put_u32_le(rejected.len() as u32);
     for p in rejected {
         out.put_u32_le(p.from);
-        wire::encode_admin_op_pub(&p.op, &mut out);
+        encode_admin_op(&p.op, &mut out);
     }
 
     let body = dce_net::encode_snapshot(site);
@@ -75,35 +78,35 @@ pub fn encode_store_snapshot<E: Element + WireElement>(
 }
 
 fn parse<E: Element + WireElement>(mut buf: Bytes) -> Result<(Site<E>, u64), StoreError> {
-    if wire::get_u8_pub(&mut buf)? != MAGIC {
+    if get_u8(&mut buf)? != MAGIC {
         return Err(StoreError::Codec("bad snapshot magic".into()));
     }
-    if wire::get_u8_pub(&mut buf)? != VERSION {
+    if get_u8(&mut buf)? != VERSION {
         return Err(StoreError::Codec("unsupported snapshot version".into()));
     }
-    let user = wire::get_u32_pub(&mut buf)?;
-    let admin = wire::get_u32_pub(&mut buf)?;
-    let _doc = wire::get_u64_pub(&mut buf)?;
-    let covered = wire::get_u64_pub(&mut buf)?;
+    let user = get_u32(&mut buf)?;
+    let admin = get_u32(&mut buf)?;
+    let doc = get_doc(&mut buf)?;
+    let covered = get_u64(&mut buf)?;
 
-    let n_clocks = wire::get_u32_pub(&mut buf)? as usize;
+    let n_clocks = get_u32(&mut buf)? as usize;
     let mut peer_clocks: HashMap<UserId, Clock> = HashMap::with_capacity(n_clocks.min(1 << 16));
     for _ in 0..n_clocks {
-        let u = wire::get_u32_pub(&mut buf)?;
-        let c = wire::decode_clock_pub(&mut buf)?;
+        let u = get_u32(&mut buf)?;
+        let c = decode_clock(&mut buf)?;
         peer_clocks.insert(u, c);
     }
-    let denials = wire::decode_id_list(&mut buf)?;
-    let undone = wire::decode_id_list(&mut buf)?;
-    let n_rejected = wire::get_u32_pub(&mut buf)? as usize;
+    let denials = decode_id_list(&mut buf)?;
+    let undone = decode_id_list(&mut buf)?;
+    let n_rejected = get_u32(&mut buf)? as usize;
     let mut rejected = Vec::with_capacity(n_rejected.min(1 << 16));
     for _ in 0..n_rejected {
-        let from = wire::get_u32_pub(&mut buf)?;
-        let op = wire::decode_admin_op_pub(&mut buf)?;
+        let from = get_u32(&mut buf)?;
+        let op = decode_admin_op(&mut buf)?;
         rejected.push(AdminProposal { from, op });
     }
 
-    let body_len = wire::get_u64_pub(&mut buf)? as usize;
+    let body_len = get_u64(&mut buf)? as usize;
     if buf.remaining() != body_len {
         return Err(StoreError::Codec(format!(
             "snapshot body length {body_len} does not match the {} remaining bytes",
@@ -111,6 +114,12 @@ fn parse<E: Element + WireElement>(mut buf: Bytes) -> Result<(Site<E>, u64), Sto
         )));
     }
     let mut site: Site<E> = dce_net::decode_snapshot(buf, user, admin)?;
+    if site.doc() != doc {
+        return Err(StoreError::Codec(format!(
+            "envelope names {doc} but the body holds {}",
+            site.doc()
+        )));
+    }
     site.restore_transients(peer_clocks, denials, undone, rejected);
     Ok((site, covered))
 }
@@ -140,8 +149,9 @@ pub fn decode_store_snapshot<E: Element + WireElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dce_core::Message;
+    use dce_core::{DocumentId, Message};
     use dce_document::{Char, CharDocument, Op};
+    use dce_net::MAX_DOC_ID;
     use dce_policy::Policy;
     use std::path::PathBuf;
 
@@ -181,6 +191,35 @@ mod tests {
             }
             other => panic!("expected CorruptSnapshot, got {other:?}"),
         }
+    }
+
+    /// Re-seals `image` with a fresh CRC trailer after a patch, so only
+    /// the patched field — not the checksum — can reject it.
+    fn reseal(mut image: Vec<u8>) -> Vec<u8> {
+        image.truncate(image.len() - 4);
+        let crc = crc32(&image);
+        image.extend_from_slice(&crc.to_le_bytes());
+        image
+    }
+
+    /// Envelope layout: magic, version, u32 user, u32 admin, u64 document.
+    const ENVELOPE_DOC: std::ops::Range<usize> = 10..18;
+
+    #[test]
+    fn an_envelope_naming_another_document_is_rejected() {
+        let site = busy_site().rejoin_as(0).with_document(DocumentId::new(5));
+        let mut bytes = encode_store_snapshot(&site, 0, 3);
+        bytes[ENVELOPE_DOC].copy_from_slice(&6u64.to_le_bytes());
+        let err = decode_store_snapshot::<Char>(&reseal(bytes), &PathBuf::from("t.snap"));
+        assert!(matches!(err, Err(StoreError::CorruptSnapshot { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn an_out_of_range_envelope_document_is_rejected() {
+        let mut bytes = encode_store_snapshot(&busy_site(), 0, 3);
+        bytes[ENVELOPE_DOC].copy_from_slice(&(MAX_DOC_ID + 1).to_le_bytes());
+        let err = decode_store_snapshot::<Char>(&reseal(bytes), &PathBuf::from("t.snap"));
+        assert!(matches!(err, Err(StoreError::CorruptSnapshot { .. })), "{err:?}");
     }
 
     #[test]

@@ -189,13 +189,13 @@ fn encode_body<E: WireElement>(rec: &RecordRef<'_, E>, out: &mut BytesMut) {
         }
         RecordRef::LocalCoop { op, id, v } => {
             out.put_u8(1);
-            wire::encode_op_pub(op, out);
-            wire::encode_id(*id, out);
+            wire::encode_op(op, out);
+            wire::encode_request_id(*id, out);
             out.put_u64_le(*v);
         }
         RecordRef::LocalAdmin { op, version } => {
             out.put_u8(2);
-            wire::encode_admin_op_pub(op, out);
+            wire::encode_admin_op(op, out);
             out.put_u64_le(*version);
         }
         RecordRef::Compact => out.put_u8(3),
@@ -214,21 +214,21 @@ pub fn encode_record<E: WireElement>(rec: &RecordRef<'_, E>, out: &mut BytesMut)
 }
 
 fn decode_body<E: WireElement>(mut body: Bytes) -> Result<Record<E>, StoreError> {
-    let kind = wire::get_u8_pub(&mut body)?;
+    let kind = wire::get_u8(&mut body)?;
     let rec = match kind {
         0 => Record::Remote(wire::decode_message(body)?),
         1 => {
-            let op = wire::decode_op_pub(&mut body)?;
-            let id = wire::decode_id(&mut body)?;
-            let v = wire::get_u64_pub(&mut body)?;
+            let op = wire::decode_op(&mut body)?;
+            let id = wire::decode_request_id(&mut body)?;
+            let v = wire::get_u64(&mut body)?;
             if !body.is_empty() {
                 return Err(StoreError::Codec("trailing bytes after coop record".into()));
             }
             Record::LocalCoop { op, id, v }
         }
         2 => {
-            let op = wire::decode_admin_op_pub(&mut body)?;
-            let version = wire::get_u64_pub(&mut body)?;
+            let op = wire::decode_admin_op(&mut body)?;
+            let version = wire::get_u64(&mut body)?;
             if !body.is_empty() {
                 return Err(StoreError::Codec("trailing bytes after admin record".into()));
             }

@@ -24,8 +24,8 @@
 //!
 //! Like `dce-obs`, this crate depends on nothing above it in the
 //! stack — it consumes `Event`s and can therefore post-mortem any
-//! runner: the simulated network, the threaded runner, or dce-check's
-//! schedule explorer.
+//! runner: the simulated network, the socket server and its clients,
+//! or dce-check's schedule explorer.
 
 pub mod flight;
 pub mod json;
