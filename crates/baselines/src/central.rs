@@ -14,8 +14,7 @@
 
 use dce_document::{Document, Element, Op};
 use dce_policy::{Action, Decision, Policy, UserId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The central authorization server: one policy, one lock.
 #[derive(Debug)]
@@ -33,19 +32,19 @@ impl CentralServer {
     /// Serialized authorization check (the lock is the bottleneck the
     /// paper describes).
     pub fn authorize(&self, user: UserId, action: &Action) -> Decision {
-        let guard = self.policy.lock();
-        *self.checks.lock() += 1;
+        let guard = self.policy.lock().expect("policy lock");
+        *self.checks.lock().expect("checks lock") += 1;
         guard.check(user, action)
     }
 
     /// Mutates the central policy (the administrator's console).
     pub fn update_policy(&self, f: impl FnOnce(&mut Policy)) {
-        f(&mut self.policy.lock());
+        f(&mut self.policy.lock().expect("policy lock"));
     }
 
     /// Number of authorization checks served.
     pub fn checks_served(&self) -> u64 {
-        *self.checks.lock()
+        *self.checks.lock().expect("checks lock")
     }
 }
 

@@ -110,19 +110,6 @@ pub fn measure_t2(site: &Site<Char>, pending: &CoopRequest<Char>, reps: usize) -
     })
 }
 
-/// The `p`-th percentile of `samples` (0–100, nearest-rank on a sorted
-/// copy), `None` on an empty slice. Shared by the latency reporters —
-/// `dce-loadgen` feeds it wall-clock request round trips.
-pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    Some(sorted[rank.min(sorted.len() - 1)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +134,6 @@ mod tests {
     fn redundant_policy_grows() {
         let p = bench_policy(25);
         assert_eq!(p.authorizations().len(), 26);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&samples, 50.0), Some(51.0));
-        assert_eq!(percentile(&samples, 0.0), Some(1.0));
-        assert_eq!(percentile(&samples, 100.0), Some(100.0));
-        assert_eq!(percentile(&samples, 99.0), Some(99.0));
-        assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(percentile(&[7.5], 95.0), Some(7.5));
     }
 
     #[test]

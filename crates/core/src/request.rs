@@ -3,11 +3,10 @@
 use dce_ot::engine::BroadcastRequest;
 use dce_ot::ids::Clock;
 use dce_policy::{AdminOp, AdminRequest, PolicyVersion, UserId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The lifecycle flag `q.f` of a cooperative request (paper §5.1):
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Flag {
     /// Locally accepted, awaiting the administrator's validation. Only
     /// tentative requests can be retroactively undone.
@@ -35,7 +34,7 @@ impl fmt::Display for Flag {
 /// [`BroadcastRequest`]; `v` is the policy version the issuing site checked
 /// the operation against; the initial flag is implied by the issuer (valid
 /// for the administrator, tentative otherwise).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CoopRequest<E> {
     /// The OT-layer request (identity `c`+`r`, dependency `a`, operation
     /// `o`, causal context).
@@ -55,7 +54,7 @@ impl<E> CoopRequest<E> {
 /// the administrator to issue `op` on their behalf. The administrator
 /// re-checks the delegation and sequences the operation, preserving the
 /// total order on administrative requests (§7 future work, realised).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdminProposal {
     /// The proposing user.
     pub from: UserId,
@@ -64,7 +63,7 @@ pub struct AdminProposal {
 }
 
 /// A message on the group channel.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Message<E> {
     /// A cooperative request (document edit).
     Coop(CoopRequest<E>),

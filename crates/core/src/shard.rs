@@ -26,19 +26,7 @@ use std::fmt;
 /// `0` is reserved: it names "the document" in single-document contexts —
 /// every pre-sharding call site, every v2 wire frame — so legacy state
 /// decodes onto the root shard unchanged.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DocumentId(pub u64);
 
 impl DocumentId {

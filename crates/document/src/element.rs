@@ -6,7 +6,6 @@
 //! ship the three concrete element kinds the paper names that make sense for
 //! a library (characters, paragraphs, XML-ish nodes).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Marker trait for types that can be stored in a [`crate::Document`].
@@ -19,7 +18,7 @@ impl<T: Clone + Eq + fmt::Debug> Element for T {}
 
 /// A single character element — the granularity used in every example of the
 /// paper ("efecte", "abc", …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Char(pub char);
 
 impl fmt::Display for Char {
@@ -37,7 +36,7 @@ impl From<char> for Char {
 /// A paragraph element: one logical block of text, the granularity used by
 /// word-processor integrations (the paper cites MS Word / PowerPoint
 /// adaptations of the same linear model).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Paragraph {
     /// The paragraph text.
     pub text: String,
@@ -69,7 +68,7 @@ impl fmt::Display for Paragraph {
 /// Children are represented positionally by neighbouring document elements
 /// (a linearised tree), which is how OT-based editors commonly flatten
 /// structured documents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Node {
     /// Element tag, e.g. `"title"`.
     pub tag: String,

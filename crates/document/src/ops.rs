@@ -3,13 +3,12 @@
 use crate::element::Element;
 use crate::error::ApplyError;
 use crate::state::{Document, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse classification of an operation, used by the OT layer to keep logs
 /// canonical (insertions before deletions/updates) and by the policy layer to
 /// map operations onto access rights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `Ins(p, e)`
     Ins,
@@ -44,7 +43,7 @@ impl fmt::Display for OpKind {
 /// `Del` and `Up` carry the element they affect; this makes operations
 /// invertible (needed by the retroactive-undo mechanism of §4.2) and lets
 /// [`Op::apply`] detect integration bugs as [`ApplyError::ElementMismatch`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op<E> {
     /// Insert `elem` so that it occupies position `pos`.
     Ins {

@@ -1,7 +1,6 @@
 //! The replicated document state: a linear sequence of elements.
 
 use crate::element::{Char, Element};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 1-based position into a document, following the paper's convention
@@ -16,7 +15,7 @@ pub type Position = usize;
 /// `Document` is a plain value type — cloning it snapshots the state, and
 /// equality is structural. All mutation goes through [`crate::Op::apply`] or
 /// the checked primitives below.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Document<E> {
     elems: Vec<E>,
 }

@@ -1,4 +1,4 @@
-//! # dce-loadgen — open-loop load generator for `dce-server`
+//! # dce-loadgen — open-loop load driver and convergence checker for `dce-server`
 //!
 //! Drives N concurrent client connections against a running
 //! [`dce_server::Server`], each one a full collaborator replica set: a
@@ -8,9 +8,10 @@
 //! a configurable mix of document edits (insert/delete/update) and
 //! delegated administrative proposals on an **open-loop** schedule —
 //! ops fire on their think-time clock regardless of how many earlier
-//! ops are still unresolved — and measures the wall-clock round trip
-//! from generation to the request's flag settling (`Valid` via the
-//! administrator's validation, `Invalid` via a retroactive undo).
+//! ops are still unresolved — and counts each request until its flag
+//! settles (`Valid` via the administrator's validation, `Invalid` via a
+//! retroactive undo). It measures nothing: latency and throughput are
+//! the repository benchmark's job (`benchmark/`).
 //!
 //! Documents are chosen per op with a skew toward low ids (min of two
 //! uniform draws), so a multi-document run exercises both hot and cold
@@ -33,14 +34,14 @@ use dce_net::reliable::{Endpoint, ReliableConfig};
 use dce_obs::ObsHandle;
 use dce_ot::ids::RequestId;
 use dce_policy::{AdminOp, Authorization, DocObject, Right, Subject};
-use dce_server::initial_policy;
+use dce_server::{initial_policy, ServerConfig};
 use dce_trace::{build_spans, merge_events};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -65,19 +66,18 @@ impl Default for Mix {
 }
 
 impl Mix {
-    /// Parses `ins:del:up:admin`, e.g. `50:25:15:10`.
+    /// Parses `ins:del:up:admin`, e.g. `50:25:15:10`. `None` unless the
+    /// weights have a positive sum that fits a `u32`.
     pub fn parse(s: &str) -> Option<Mix> {
         let parts: Vec<u32> = s.split(':').map(str::parse).collect::<Result<_, _>>().ok()?;
-        match parts[..] {
-            [ins, del, up, admin] if ins + del + up + admin > 0 => {
-                Some(Mix { ins, del, up, admin })
-            }
-            _ => None,
-        }
+        let [ins, del, up, admin] = parts[..] else { return None };
+        let mix = Mix { ins, del, up, admin };
+        matches!(mix.total(), Some(total) if total > 0).then_some(mix)
     }
 
-    fn total(&self) -> u32 {
-        self.ins + self.del + self.up + self.admin
+    /// The sum of the weights; `None` when it overflows a `u32`.
+    fn total(&self) -> Option<u32> {
+        self.ins.checked_add(self.del)?.checked_add(self.up)?.checked_add(self.admin)
     }
 }
 
@@ -108,8 +108,6 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// Initial document (must match the server's `--doc`).
     pub doc: String,
-    /// Initial retransmission timeout of the client endpoints (ms).
-    pub rto_ms: u64,
     /// Give up (and dump flight evidence) after this many seconds.
     pub timeout_s: u64,
     /// Where flight dumps land on divergence.
@@ -121,18 +119,12 @@ pub struct LoadgenConfig {
     /// member speaks no heartbeats of its own, which would otherwise pin
     /// the stability horizon (and the logs) forever.
     pub idle_clients: u32,
-    /// Survive server restarts: on a dropped connection, re-dial,
-    /// re-`Hello` and restart every stream in a new epoch instead of
-    /// failing the run. Pairs with a `--data-dir` server.
-    pub reconnect: bool,
-    /// When set, (re)connections dial the address currently in the cell
-    /// rather than `addr` — the restart harness points clients at a
-    /// server rebound on a fresh port.
+    /// When set, the run survives server restarts: on a dropped
+    /// connection a client re-dials whatever address the cell holds
+    /// (instead of `addr`), re-`Hello`s and restarts every stream in a
+    /// new epoch rather than failing the run. Pairs with a `--data-dir`
+    /// server that the restart harness rebinds on a fresh port.
     pub addr_cell: Option<Arc<Mutex<String>>>,
-    /// Scrape the server's metrics frame every this many milliseconds
-    /// while the run is in flight, folding the sampled timeline into the
-    /// report (and `BENCH_server.json`). 0 disables the scraper.
-    pub scrape_ms: u64,
 }
 
 impl Default for LoadgenConfig {
@@ -148,13 +140,10 @@ impl Default for LoadgenConfig {
             think_ms: 0,
             seed: 0xD15E_ED17,
             doc: "the quick brown fox".into(),
-            rto_ms: 100,
             timeout_s: 120,
             results_dir: PathBuf::from("results"),
             idle_clients: 0,
-            reconnect: false,
             addr_cell: None,
-            scrape_ms: 0,
         }
     }
 }
@@ -164,55 +153,6 @@ fn addr_of(cfg: &LoadgenConfig) -> String {
     match &cfg.addr_cell {
         Some(cell) => cell.lock().expect("addr cell").clone(),
         None => cfg.addr.clone(),
-    }
-}
-
-/// Latency percentiles over resolved cooperative requests (ms).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyReport {
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Worst observed.
-    pub max: f64,
-}
-
-/// One sample of the server's telemetry, taken mid-run by the
-/// `scrape_ms` scraper. Counter-valued fields are cumulative since
-/// server start; consecutive points diff into rates.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScrapePoint {
-    /// Server uptime at the scrape (ms, from the report's timestamp).
-    pub at_ms: u64,
-    /// Messages the administrator replicas have processed.
-    pub delivered: u64,
-    /// WAL records appended (0 on a memory-only server).
-    pub appended: u64,
-    /// 99th-percentile WAL fsync latency so far (ns).
-    pub fsync_p99_ns: u64,
-    /// Timer-driven retransmissions pushed to members.
-    pub retransmits: u64,
-    /// Watermark compactions fired.
-    pub compactions: u64,
-    /// Bytes queued on client sockets, not yet written.
-    pub backlog_bytes: u64,
-}
-
-impl ScrapePoint {
-    fn from_report(report: &dce_obs::MetricsReport) -> ScrapePoint {
-        let counter = |n: &str| report.counters.get(n).copied().unwrap_or(0);
-        ScrapePoint {
-            at_ms: report.at_ns / 1_000_000,
-            delivered: counter("server.delivered"),
-            appended: counter("store.appended"),
-            fsync_p99_ns: report.histograms.get("store.fsync_ns").map(|h| h.p99).unwrap_or(0),
-            retransmits: counter("server.retransmits"),
-            compactions: counter("server.compactions"),
-            backlog_bytes: report.gauges.get("server.backlog_bytes").copied().unwrap_or(0),
-        }
     }
 }
 
@@ -236,12 +176,6 @@ pub struct RunReport {
     pub resolved_valid: u64,
     /// Requests whose flag settled `Invalid` (retroactively undone).
     pub resolved_invalid: u64,
-    /// Wall-clock from first op to confirmed convergence (ms).
-    pub duration_ms: u64,
-    /// Resolved cooperative requests per second.
-    pub throughput_ops_s: f64,
-    /// Round-trip latency percentiles (ms).
-    pub latency: LatencyReport,
     /// `true` when every replica digest agreed at quiescence.
     pub converged: bool,
     /// The agreed replica digest (0 when not converged).
@@ -254,8 +188,6 @@ pub struct RunReport {
     pub request_spans: usize,
     /// `true` when the merged happens-before trace is acyclic.
     pub trace_acyclic: bool,
-    /// Mid-run server telemetry samples (empty unless `scrape_ms` > 0).
-    pub telemetry: Vec<ScrapePoint>,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -279,7 +211,6 @@ struct ClientShared {
 
 #[derive(Debug, Default)]
 struct ClientOut {
-    latencies_ms: Vec<f64>,
     coop_sent: u64,
     proposals_sent: u64,
     denied_local: u64,
@@ -435,9 +366,10 @@ fn reconnect_client(
 }
 
 fn client_main(c: Client) -> Result<ClientOut, String> {
-    // Under `reconnect` the server may die while this client is still
+    // With an `addr_cell` the server may die while this client is still
     // mid-Hello (the kill/restart test stops the first incarnation
     // ~100 ms in): keep re-dialing until welcomed instead of failing.
+    let reconnect = c.cfg.addr_cell.is_some();
     let hello_deadline = Instant::now() + Duration::from_secs(c.cfg.timeout_s);
     let mut conn = loop {
         let welcomed =
@@ -451,7 +383,7 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
             });
         match welcomed {
             Ok(conn) => break conn,
-            Err(e) if c.cfg.reconnect && Instant::now() < hello_deadline => {
+            Err(e) if reconnect && Instant::now() < hello_deadline => {
                 eprintln!("dce-loadgen: user {}: initial hello failed ({e}), retrying", c.user);
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -466,20 +398,17 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
             (DocumentId::new(d), CharDocument::from_str(&c.cfg.doc), initial_policy(c.cfg.clients))
         }))
         .expect("fresh engine hosts no documents yet");
+    let rto = ServerConfig::default().rto_ms;
     let mut endpoints: HashMap<DocumentId, Endpoint<Char>> = (0..docs)
         .map(|d| {
-            (
-                DocumentId::new(d),
-                Endpoint::new(
-                    c.user as usize,
-                    ReliableConfig { initial_rto_ms: c.cfg.rto_ms, max_rto_ms: c.cfg.rto_ms * 16 },
-                ),
-            )
+            let reliable = ReliableConfig { initial_rto_ms: rto, max_rto_ms: rto * 16 };
+            (DocumentId::new(d), Endpoint::new(c.user as usize, reliable))
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(c.cfg.seed ^ (0x9E37_79B9 * u64::from(c.user)));
     let mut out = ClientOut::default();
-    let mut outstanding: HashMap<(DocumentId, RequestId), Instant> = HashMap::new();
+    // Coop requests whose flag is still `Tentative`.
+    let mut outstanding: HashSet<(DocumentId, RequestId)> = HashSet::new();
     let origin = Instant::now();
 
     // Everyone is welcomed before anyone edits: the server relays only
@@ -511,14 +440,14 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
 
         let alive = match conn.read_frames(&mut frames) {
             Ok(alive) => alive,
-            Err(e) if c.cfg.reconnect => {
+            Err(e) if reconnect => {
                 eprintln!("dce-loadgen: user {}: connection lost ({e}), reconnecting", c.user);
                 false
             }
             Err(e) => return Err(e),
         };
         if !alive {
-            if !c.cfg.reconnect {
+            if !reconnect {
                 return Err("server closed the connection mid-run".into());
             }
             frames.clear();
@@ -553,29 +482,17 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
             }
         }
 
-        // Resolve finished requests: a flag that left `Tentative` ends
-        // the round-trip measurement for that op.
-        if !outstanding.is_empty() {
-            let ids: Vec<(DocumentId, RequestId)> = outstanding.keys().copied().collect();
-            for (doc, id) in ids {
-                let resolved = match engine.with(doc, |site| site.flag_of(id)).flatten() {
-                    Some(dce_core::Flag::Valid) => {
-                        out.resolved_valid += 1;
-                        true
-                    }
-                    Some(dce_core::Flag::Invalid) => {
-                        out.resolved_invalid += 1;
-                        true
-                    }
-                    _ => false,
-                };
-                if resolved {
-                    let started = outstanding.remove(&(doc, id)).expect("tracked");
-                    out.latencies_ms.push(started.elapsed().as_secs_f64() * 1_000.0);
-                    worked = true;
-                }
+        // Resolve finished requests: a flag that left `Tentative` counts
+        // the op as settled.
+        outstanding.retain(|&(doc, id)| {
+            match engine.with(doc, |site| site.flag_of(id)).flatten() {
+                Some(Flag::Valid) => out.resolved_valid += 1,
+                Some(Flag::Invalid) => out.resolved_invalid += 1,
+                _ => return true,
             }
-        }
+            worked = true;
+            false
+        });
 
         for (&doc, endpoint) in endpoints.iter_mut() {
             if matches!(endpoint.next_deadline(), Some(d) if d <= now_ms) {
@@ -586,7 +503,7 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
             }
         }
         if let Err(e) = conn.flush() {
-            if !c.cfg.reconnect {
+            if !reconnect {
                 return Err(e);
             }
             eprintln!("dce-loadgen: user {}: flush failed ({e}), reconnecting", c.user);
@@ -661,13 +578,13 @@ fn generate_one(
     rng: &mut StdRng,
     cfg: &LoadgenConfig,
     out: &mut ClientOut,
-    outstanding: &mut HashMap<(DocumentId, RequestId), Instant>,
+    outstanding: &mut HashSet<(DocumentId, RequestId)>,
     now_ms: u64,
 ) -> Result<(), String> {
     let mix = cfg.mix;
     let doc = pick_doc(rng, cfg.docs);
     let endpoint = endpoints.get_mut(&doc).expect("picked a hosted doc");
-    let roll = rng.gen_range(0..mix.total());
+    let roll = rng.gen_range(0..mix.total().expect("mix weights sum within u32"));
     if roll >= mix.ins + mix.del + mix.up {
         let op = random_admin_op(rng, cfg);
         match engine.with(doc, |site| site.propose_admin(op)).expect("doc hosted") {
@@ -694,7 +611,7 @@ fn generate_one(
     };
     match engine.with(doc, |site| site.generate(op)).expect("doc hosted") {
         Ok(q) => {
-            outstanding.insert((doc, q.ot.id), Instant::now());
+            outstanding.insert((doc, q.ot.id));
             let pkt = endpoint.send(0, Arc::new(Message::Coop(q)), now_ms);
             conn.queue(&Frame::from_packet(doc, pkt));
             out.coop_sent += 1;
@@ -785,51 +702,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
         }));
     }
 
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(cfg.timeout_s);
+    let deadline = Instant::now() + Duration::from_secs(cfg.timeout_s);
     let mut control = FrameConn::connect(&addr_of(cfg), Duration::from_secs(10))
         .map_err(|e| format!("control connection: {e}"))?;
 
-    // The telemetry scraper: its own connection, sampling the server's
-    // metrics frame on a fixed cadence while the run is in flight. Every
-    // error path below sets `stop`, which is also the scraper's exit.
-    let telemetry: Arc<Mutex<Vec<ScrapePoint>>> = Arc::new(Mutex::new(Vec::new()));
-    let scraper = (cfg.scrape_ms > 0).then(|| {
-        let points = Arc::clone(&telemetry);
-        let stop = Arc::clone(&stop);
-        let cfg = cfg.clone();
-        std::thread::spawn(move || {
-            let every = Duration::from_millis(cfg.scrape_ms.max(10));
-            let Ok(mut conn) = FrameConn::connect(&addr_of(&cfg), Duration::from_secs(10)) else {
-                return;
-            };
-            while !stop.load(Ordering::Relaxed) {
-                let reply = conn.round_trip(
-                    &Frame::MetricsRequest { session: cfg.session },
-                    Duration::from_secs(2),
-                    |f| match f {
-                        Frame::MetricsReport { report, .. } => {
-                            Some(ScrapePoint::from_report(report))
-                        }
-                        _ => None,
-                    },
-                );
-                match reply {
-                    Ok(p) => points.lock().expect("telemetry lock").push(p),
-                    Err(_) => {
-                        // Server mid-restart or briefly stalled: re-dial
-                        // and keep sampling.
-                        if let Ok(fresh) =
-                            FrameConn::connect(&addr_of(&cfg), Duration::from_secs(2))
-                        {
-                            conn = fresh;
-                        }
-                    }
-                }
-                std::thread::sleep(every);
-            }
-        })
-    });
     let docs = cfg.docs.max(1);
     let mut stable_polls = 0u32;
     let mut agreed_digests: Vec<u64> = Vec::new();
@@ -871,7 +747,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
             );
             match reply {
                 Ok(r) => server.push(r),
-                Err(_) if cfg.reconnect => {
+                Err(_) if cfg.addr_cell.is_some() => {
                     // The server may be mid-restart: re-dial the control
                     // connection (possibly at a new address) and let the
                     // outer loop poll again.
@@ -927,8 +803,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
             break false;
         }
     };
-    let duration_ms = started.elapsed().as_millis() as u64;
-
     stop.store(true, Ordering::Relaxed);
     let mut outs = Vec::new();
     for h in handles {
@@ -938,14 +812,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
             Err(_) => return Err("client thread panicked".into()),
         }
     }
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
     if !converged {
         report_flag_divergence(&outs);
     }
 
-    let mut latencies: Vec<f64> = Vec::new();
     let mut report = RunReport {
         clients: cfg.clients,
         docs,
@@ -955,9 +825,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
         denied_local: 0,
         resolved_valid: 0,
         resolved_invalid: 0,
-        duration_ms,
-        throughput_ops_s: 0.0,
-        latency: LatencyReport::default(),
         converged,
         // A whole-run digest: per-document digests folded in id order.
         replica_digest: if converged {
@@ -971,7 +838,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
         events_overflowed: obs.overflowed(),
         request_spans: 0,
         trace_acyclic: true,
-        telemetry: std::mem::take(&mut *telemetry.lock().expect("telemetry lock")),
     };
     for out in outs {
         report.coop_sent += out.coop_sent;
@@ -979,18 +845,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<RunReport, String> {
         report.denied_local += out.denied_local;
         report.resolved_valid += out.resolved_valid;
         report.resolved_invalid += out.resolved_invalid;
-        latencies.extend(out.latencies_ms);
     }
-    let resolved = report.resolved_valid + report.resolved_invalid;
-    if duration_ms > 0 {
-        report.throughput_ops_s = resolved as f64 / (duration_ms as f64 / 1_000.0);
-    }
-    report.latency = LatencyReport {
-        p50: dce_bench::percentile(&latencies, 50.0).unwrap_or(0.0),
-        p95: dce_bench::percentile(&latencies, 95.0).unwrap_or(0.0),
-        p99: dce_bench::percentile(&latencies, 99.0).unwrap_or(0.0),
-        max: latencies.iter().copied().fold(0.0, f64::max),
-    };
 
     // The journal and trace pipeline run unchanged over the socket
     // path: merge the shared wall-clock journal and roll it into spans.
@@ -1035,76 +890,15 @@ fn report_flag_divergence(outs: &[ClientOut]) {
     }
 }
 
-/// Writes `report` as `BENCH_server.json`-style JSON.
-pub fn write_bench_json(path: &Path, cfg: &LoadgenConfig, report: &RunReport) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
+#[cfg(test)]
+mod tests {
+    use super::Mix;
+
+    #[test]
+    fn mix_parse_rejects_weights_whose_sum_overflows() {
+        assert!(Mix::parse("4294967295:1:0:0").is_none());
+        assert!(Mix::parse("4294967295:2:0:0").is_none());
+        let mix = Mix::parse("50:25:15:10").expect("the default mix parses");
+        assert_eq!((mix.ins, mix.del, mix.up, mix.admin), (50, 25, 15, 10));
     }
-    let telemetry = report
-        .telemetry
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"at_ms\": {}, \"delivered\": {}, \"appended\": {}, \
-                 \"fsync_p99_ns\": {}, \"retransmits\": {}, \"compactions\": {}, \
-                 \"backlog_bytes\": {} }}",
-                p.at_ms,
-                p.delivered,
-                p.appended,
-                p.fsync_p99_ns,
-                p.retransmits,
-                p.compactions,
-                p.backlog_bytes,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let telemetry =
-        if telemetry.is_empty() { "[]".to_string() } else { format!("[\n{telemetry}\n  ]") };
-    let body = format!(
-        "{{\n  \"bench\": \"server\",\n  \"addr\": \"{addr}\",\n  \"clients\": {clients},\n  \
-         \"docs\": {docs},\n  \
-         \"ops\": {ops},\n  \"mix\": \"{ins}:{del}:{up}:{admin}\",\n  \
-         \"restrictive_pct\": {rp},\n  \"think_ms\": {think},\n  \"seed\": {seed},\n  \
-         \"coop_sent\": {coop},\n  \"proposals_sent\": {props},\n  \
-         \"denied_local\": {denied},\n  \"resolved_valid\": {valid},\n  \
-         \"resolved_invalid\": {invalid},\n  \"duration_ms\": {dur},\n  \
-         \"throughput_ops_per_s\": {thr:.1},\n  \"latency_ms\": {{\n    \
-         \"p50\": {p50:.3},\n    \"p95\": {p95:.3},\n    \"p99\": {p99:.3},\n    \
-         \"max\": {max:.3}\n  }},\n  \"converged\": {conv},\n  \
-         \"replica_digest\": {digest},\n  \"events_recorded\": {events},\n  \
-         \"events_overflowed\": {overflow},\n  \"request_spans\": {spans},\n  \
-         \"trace_acyclic\": {acyclic},\n  \"scrape_ms\": {scrape},\n  \
-         \"telemetry\": {telemetry}\n}}\n",
-        addr = cfg.addr,
-        clients = report.clients,
-        docs = report.docs,
-        ops = cfg.ops,
-        ins = cfg.mix.ins,
-        del = cfg.mix.del,
-        up = cfg.mix.up,
-        admin = cfg.mix.admin,
-        rp = cfg.restrictive_pct,
-        think = cfg.think_ms,
-        seed = cfg.seed,
-        coop = report.coop_sent,
-        props = report.proposals_sent,
-        denied = report.denied_local,
-        valid = report.resolved_valid,
-        invalid = report.resolved_invalid,
-        dur = report.duration_ms,
-        thr = report.throughput_ops_s,
-        p50 = report.latency.p50,
-        p95 = report.latency.p95,
-        p99 = report.latency.p99,
-        max = report.latency.max,
-        conv = report.converged,
-        digest = report.replica_digest,
-        events = report.events_recorded,
-        overflow = report.events_overflowed,
-        spans = report.request_spans,
-        acyclic = report.trace_acyclic,
-        scrape = cfg.scrape_ms,
-    );
-    std::fs::write(path, body)
 }

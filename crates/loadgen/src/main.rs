@@ -1,28 +1,27 @@
-//! `dce-loadgen` — drive a running `dce-server` and measure it.
+//! `dce-loadgen` — drive a running `dce-server` and check it converges.
 //!
 //! ```text
 //! cargo run --release -p dce-loadgen -- --addr 127.0.0.1:7461 \
 //!     --clients 4 --ops 1000 --mix 50:25:15:10 --think-ms 2
 //! ```
 //!
-//! Exits 0 and writes `results/BENCH_server.json` when every replica
-//! digest agreed at quiescence; exits 1 (leaving a flight dump in
-//! `results/`) otherwise.
+//! Prints one summary line and exits 0 when every replica digest agreed
+//! at quiescence; exits 1 (leaving a flight dump in `results/`)
+//! otherwise. Latency and throughput are measured by `benchmark/`.
 
-use dce_loadgen::{run, write_bench_json, LoadgenConfig, Mix};
+use dce_loadgen::{run, LoadgenConfig, Mix};
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage: dce-loadgen [--addr HOST:PORT] [--session N] [--clients N] [--docs N] [--ops N]\n\
          \x20                  [--mix I:D:U:A] [--restrictive-pct N] [--think-ms MS]\n\
-         \x20                  [--seed N] [--doc TEXT] [--rto-ms MS] [--timeout-s S] [--out PATH]\n\
-         \x20                  [--scrape-ms MS]"
+         \x20                  [--seed N] [--doc TEXT] [--timeout-s S]"
     );
     std::process::exit(2);
 }
 
-fn default_out() -> PathBuf {
+fn results_dir() -> PathBuf {
     // crates/loadgen → repository root → results/.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
@@ -32,10 +31,7 @@ fn default_out() -> PathBuf {
 }
 
 fn main() {
-    let mut cfg = LoadgenConfig::default();
-    let results_dir = default_out();
-    cfg.results_dir = results_dir.clone();
-    let mut out = results_dir.join("BENCH_server.json");
+    let mut cfg = LoadgenConfig { results_dir: results_dir(), ..LoadgenConfig::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| usage());
@@ -50,25 +46,16 @@ fn main() {
             "--think-ms" => cfg.think_ms = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = val().parse().unwrap_or_else(|_| usage()),
             "--doc" => cfg.doc = val(),
-            "--rto-ms" => cfg.rto_ms = val().parse().unwrap_or_else(|_| usage()),
             "--timeout-s" => cfg.timeout_s = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => out = PathBuf::from(val()),
-            "--scrape-ms" => cfg.scrape_ms = val().parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
     match run(&cfg) {
         Ok(report) => {
-            if let Err(e) = write_bench_json(&out, &cfg, &report) {
-                eprintln!("dce-loadgen: could not write {}: {e}", out.display());
-            } else {
-                println!("wrote {}", out.display());
-            }
             println!(
                 "{} clients × {} docs, {} coop + {} proposals ({} denied locally): \
-                 {} valid / {} invalid in {} ms — {:.1} ops/s, \
-                 p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms — converged: {}",
+                 {} valid / {} invalid — converged: {}",
                 report.clients,
                 report.docs,
                 report.coop_sent,
@@ -76,11 +63,6 @@ fn main() {
                 report.denied_local,
                 report.resolved_valid,
                 report.resolved_invalid,
-                report.duration_ms,
-                report.throughput_ops_s,
-                report.latency.p50,
-                report.latency.p95,
-                report.latency.p99,
                 report.converged,
             );
             if !report.converged {

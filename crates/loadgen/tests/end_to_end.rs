@@ -71,7 +71,6 @@ fn four_clients_converge_over_loopback_tcp() {
         think_ms: 0,
         seed: 42,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 60,
         results_dir: scratch.clone(),
         ..LoadgenConfig::default()
@@ -93,8 +92,6 @@ fn four_clients_converge_over_loopback_tcp() {
         "every broadcast coop request settled Valid or Invalid"
     );
     assert!(report.proposals_sent > 0, "the mix exercises the proposal path");
-    assert!(report.latency.p50 > 0.0 && report.latency.p99 >= report.latency.p50);
-    assert!(report.throughput_ops_s > 0.0);
     // The observability pipeline rode along unchanged: the shared
     // journal merged into an acyclic happens-before trace with one span
     // per broadcast cooperative request.
@@ -124,7 +121,6 @@ fn three_clients_converge_across_five_documents_on_one_connection() {
         think_ms: 0,
         seed: 99,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 60,
         results_dir: scratch.clone(),
         ..LoadgenConfig::default()
@@ -171,7 +167,6 @@ fn an_idle_member_does_not_pin_the_logs() {
         think_ms: 0,
         seed: 21,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 120,
         results_dir: scratch.clone(),
         ..LoadgenConfig::default()
@@ -230,7 +225,6 @@ fn a_session_survives_a_disconnect_and_rejoin() {
         think_ms: 0,
         seed: 7,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 60,
         results_dir: scratch.clone(),
         ..LoadgenConfig::default()
@@ -271,7 +265,6 @@ fn a_restarted_durable_server_reconverges_to_the_control_run_digests() {
         think_ms: 2,
         seed: 4242,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 60,
         results_dir: scratch.clone(),
         ..LoadgenConfig::default()
@@ -291,11 +284,7 @@ fn a_restarted_durable_server_reconverges_to_the_control_run_digests() {
     // same data_dir on a fresh port, and point the clients at it.
     let (addr, shutdown, server) = boot_server_durable(1, doc, 3, Some(data_dir.clone()));
     let addr_cell = Arc::new(std::sync::Mutex::new(addr));
-    let cfg = LoadgenConfig {
-        reconnect: true,
-        addr_cell: Some(Arc::clone(&addr_cell)),
-        ..workload(String::new())
-    };
+    let cfg = LoadgenConfig { addr_cell: Some(Arc::clone(&addr_cell)), ..workload(String::new()) };
     let loadgen = std::thread::spawn(move || run(&cfg));
 
     // Let some traffic land on disk, then kill the first incarnation.
@@ -322,10 +311,11 @@ fn a_restarted_durable_server_reconverges_to_the_control_run_digests() {
 }
 
 #[test]
-fn a_scraped_run_folds_a_balanced_telemetry_timeline_into_the_report() {
+fn a_scraped_durable_run_balances_its_ledger() {
     // The operational telemetry plane end to end: a durable server with
-    // a status port, a loadgen scraper sampling its metrics frame
-    // mid-run, and the plain-text dump answering without a Hello.
+    // a status port, a converged loadgen run, the plain-text dump
+    // answering without a Hello, and one `dce-top` scrape of the metrics
+    // frame after the run.
     let doc = "watch me while I work";
     let stamp = std::process::id();
     let scratch = std::env::temp_dir().join(format!("dce-loadgen-scrape-{stamp}"));
@@ -358,14 +348,14 @@ fn a_scraped_run_folds_a_balanced_telemetry_timeline_into_the_report() {
         think_ms: 1,
         seed: 77,
         doc: doc.into(),
-        rto_ms: 60,
         timeout_s: 60,
         results_dir: scratch.clone(),
-        scrape_ms: 25,
         ..LoadgenConfig::default()
     };
-    let report = run(&cfg).expect("scraped run completes");
+    let report = run(&cfg).expect("durable run completes");
     assert!(report.converged, "replica digests disagreed at quiescence");
+    let scraped = dce_top::scrape(&cfg.addr, std::time::Duration::from_secs(5))
+        .expect("metrics frame answers after the run");
 
     // The status port answers any connection with an HTTP/1.0 JSON
     // dump (headers so curl accepts it, body for everyone else).
@@ -386,23 +376,17 @@ fn a_scraped_run_folds_a_balanced_telemetry_timeline_into_the_report() {
     assert!(dump.contains("store.appended"), "status dump carries store counters");
     assert!(dump.contains("server.delivered"), "status dump carries server counters");
 
-    // The scraped timeline: non-empty, monotone, and its ledger
-    // balances — everything delivered was journaled first.
-    assert!(report.telemetry.len() >= 2, "scraper sampled the run: {:?}", report.telemetry);
-    for pair in report.telemetry.windows(2) {
-        assert!(pair[0].at_ms <= pair[1].at_ms, "scrape timestamps are monotone");
-        assert!(pair[0].delivered <= pair[1].delivered, "delivered only grows");
-        assert!(pair[0].appended <= pair[1].appended, "appended only grows");
-    }
-    let last = report.telemetry.last().expect("non-empty");
-    assert!(last.delivered > 0, "the run's traffic shows up in the scrape");
+    // The scraped ledger balances: everything delivered was journaled
+    // first.
+    let counter = |name: &str| scraped.counters.get(name).copied().unwrap_or(0);
+    let (appended, delivered) = (counter("store.appended"), counter("server.delivered"));
+    assert!(delivered > 0, "the run's traffic shows up in the scrape");
     assert!(
-        last.appended >= last.delivered,
-        "a durable server journals everything it delivers ({} appended < {} delivered)",
-        last.appended,
-        last.delivered
+        appended >= delivered,
+        "a durable server journals everything it delivers ({appended} appended < {delivered} delivered)"
     );
-    assert!(last.fsync_p99_ns > 0, "fsync latency histogram is non-empty");
+    let fsyncs = scraped.histograms.get("store.fsync_ns").map_or(0, |h| h.count);
+    assert!(fsyncs > 0, "fsync latency histogram is non-empty");
     let _ = std::fs::remove_dir_all(&scratch);
     let _ = std::fs::remove_dir_all(&data_dir);
 }

@@ -146,7 +146,7 @@ pub enum Frame<E> {
     /// Control: ask the server for a full scrape of its `dce-obs`
     /// metrics registry (per-document series included). Answered without
     /// a `Hello`, like the other control queries, so monitoring tools
-    /// (`dce-top`, `dce-loadgen --scrape-ms`) need no session membership.
+    /// (`dce-top`) need no session membership.
     MetricsRequest {
         /// Queried session (echoed back; the registry is process-wide).
         session: u32,

@@ -16,8 +16,8 @@
 //! * [`handle`] — [`ObsHandle`], the zero-cost-when-disabled handle the
 //!   stack threads through `Site`, `SimNet` and the editor sessions;
 //! * [`metrics`] — counters, gauges and log-scale histograms with a
-//!   [`MetricsReport`] snapshot (serialized by hand — the vendored serde
-//!   stub derives are inert);
+//!   [`MetricsReport`] snapshot (serialized by hand — no JSON dependency
+//!   is available offline);
 //! * [`codec`] — a binary journal format in the style of the network
 //!   wire codec, so captured traces survive a file round-trip;
 //! * [`oracle`] — trace invariants ([`assert_trace!`]) the integration

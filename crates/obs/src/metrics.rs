@@ -1,6 +1,6 @@
 //! The metrics registry: counters, gauges and HDR-style log-linear
 //! histograms, with a [`MetricsReport`] snapshot serialized by hand to
-//! JSON (the vendored serde stub's derives are inert, so
+//! JSON (no JSON dependency is available offline, so
 //! `results/BENCH_obs.json` is written the same way the `hotpaths` bin
 //! writes its report).
 
@@ -358,8 +358,8 @@ impl MetricsReport {
         }
     }
 
-    /// Renders the report as pretty-printed JSON. Hand-rolled because the
-    /// vendored serde stub is inert; names come from `BTreeMap`s so the
+    /// Renders the report as pretty-printed JSON. Hand-rolled because no
+    /// JSON dependency is available offline; names come from `BTreeMap`s so the
     /// output is deterministic, and they are escaped — a metric name is
     /// normally a bare dotted path, but nothing enforces that.
     pub fn to_json(&self) -> String {

@@ -19,13 +19,12 @@
 
 use crate::ids::{Clock, RequestId};
 use dce_document::{ApplyError, Document, Element, Op, Position};
-use serde::{Deserialize, Serialize};
 
 /// One link of a cell's provenance chain: a request that wrote this cell
 /// (the insertion that created it, or an update), with everything undo
 /// needs to re-decide the cell's value *without consulting the log* —
 /// chains must survive log compaction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ChainLink<E> {
     /// The writing request.
     pub id: RequestId,
@@ -40,7 +39,7 @@ pub struct ChainLink<E> {
 
 /// One internal cell: an element that is visible unless deleted or ghosted,
 /// plus the provenance bookkeeping undo needs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cell<E> {
     /// The element value (the last value written, even if invisible).
     pub elem: E,
@@ -77,7 +76,7 @@ impl<E> Cell<E> {
 
 /// The tombstone document buffer. Internal positions are 1-based over *all*
 /// cells, visible or not.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Buffer<E> {
     cells: Vec<Cell<E>>,
 }

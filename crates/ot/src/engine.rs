@@ -13,14 +13,13 @@ use crate::log::{canonize_last, Log, LogEntry};
 use crate::transform::{include, TOp};
 use crate::transpose::transpose;
 use dce_document::{ApplyError, Document, Element, Op};
-use serde::{Deserialize, Serialize};
 
 /// A cooperative request in broadcast form: the operation exactly as
 /// executed at its generation site (internal coordinates), its causal
 /// context, and the identity of its direct semantic dependency (`q.a`,
 /// the paper's dependency-tree pointer — used by the access-control layer
 /// and by the inert-ancestor rule).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BroadcastRequest<E> {
     /// Request identity (`q.c` + `q.r`).
     pub id: RequestId,

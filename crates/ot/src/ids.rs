@@ -1,6 +1,5 @@
 //! Site and request identities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a collaborating site (one user = one site, paper §3.3).
@@ -9,7 +8,7 @@ pub type SiteId = u32;
 /// Globally unique identity of a cooperative request: the issuing site `c`
 /// concatenated with the site-local serial number `r` (paper §5.1: "the
 /// concatenation of `q.c` and `q.r` is defined as the request identity").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId {
     /// Issuing site (`q.c`).
     pub site: SiteId,
@@ -41,7 +40,7 @@ impl fmt::Display for RequestId {
 /// follow the classical state-vector discipline for context detection while
 /// keeping the dependency pointer for the access-control layer's causal
 /// gating (see DESIGN.md, substitutions).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Clock(std::collections::BTreeMap<SiteId, u64>);
 
 impl Clock {

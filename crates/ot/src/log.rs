@@ -12,10 +12,9 @@ use crate::ids::{Clock, RequestId};
 use crate::transform::TOp;
 use crate::transpose::transpose;
 use dce_document::{Element, Op, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// One request stored in the log.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogEntry<E> {
     /// Request identity.
     pub id: RequestId,
@@ -60,7 +59,7 @@ impl<E: Element> LogEntry<E> {
 }
 
 /// The cooperative log `H`: entries in execution order, canonical.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Log<E> {
     entries: Vec<LogEntry<E>>,
 }

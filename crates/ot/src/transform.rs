@@ -20,12 +20,11 @@
 use crate::error::ExcludeError;
 use crate::ids::SiteId;
 use dce_document::{Element, Op, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An operation together with the metadata used by the transformation
 /// functions (`T` for "transformable").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TOp<E> {
     /// The positional operation in its current context (internal coords).
     pub op: Op<E>,

@@ -5,14 +5,13 @@ use crate::error::PolicyError;
 use crate::object::DocObject;
 use crate::policy::{Action, Policy, PolicyVersion};
 use crate::subject::UserId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An administrative operation (paper Definition 3), extended with the
 /// `Validate` operation of §4.2 (third scenario): "an additional
 /// administrative operation that doesn't modify the policy object but
 /// increments the local counter", confirming one cooperative request.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AdminOp {
     /// Add a user to the subject set `S`.
     AddUser(UserId),
@@ -169,7 +168,7 @@ impl fmt::Display for AdminOp {
 
 /// An administrative request `r = (id, o, v)` (paper §5.1): issued by the
 /// administrator, totally ordered by the policy version it produces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdminRequest {
     /// Identity of the administrator issuing the request.
     pub admin: UserId,
@@ -198,7 +197,7 @@ impl fmt::Display for AdminRequest {
 /// in our model to store administrative operations in a log at every site
 /// in order to validate the remote cooperative requests at appropriate
 /// context".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AdminLog {
     entries: Vec<AdminRequest>,
     /// Positions of the *restrictive* entries, in version order — the only

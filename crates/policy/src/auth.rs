@@ -3,14 +3,13 @@
 use crate::object::DocObject;
 use crate::right::Right;
 use crate::subject::Subject;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Authorization sign: `+` grants, `−` revokes (paper Definition 2 —
 /// "negative authorizations are just used to accelerate the checking
 /// process" under first-match semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// Right attribution.
     Plus,
@@ -25,7 +24,7 @@ impl fmt::Display for Sign {
 }
 
 /// One policy entry: the quadruple `⟨S_i, O_i, R_i, ω_i⟩`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Authorization {
     /// Covered users.
     pub subject: Subject,

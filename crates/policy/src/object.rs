@@ -1,12 +1,11 @@
 //! Authorization objects: which part of the shared document is protected.
 
 use dce_document::Position;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The object part `O_i` of an authorization (paper §3.2: "an object can be
 /// the whole shared document, an element or a group of elements").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DocObject {
     /// The whole shared document (`Doc` in the paper's examples).
     Document,

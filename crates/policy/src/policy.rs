@@ -7,7 +7,6 @@ use crate::object::DocObject;
 use crate::right::Right;
 use crate::subject::{Subject, UserId};
 use dce_document::Position;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -20,7 +19,7 @@ pub type PolicyVersion = u64;
 /// A concrete access attempt to check: the required right and the visible
 /// position it targets (`None` for document-level actions such as reading
 /// the document on join).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Action {
     /// Required right.
     pub right: Right,
@@ -73,7 +72,7 @@ impl Decision {
 /// The policy state: the ordered authorization list `P`, the subject set
 /// `S` (with optional named groups), the object table `O`, and the version
 /// counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Policy {
     auths: Vec<Authorization>,
     users: BTreeSet<UserId>,

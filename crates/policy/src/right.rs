@@ -1,13 +1,12 @@
 //! Access rights (paper §3.2: `rR`, `iR`, `dR`, `uR`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One access right. Each right authorizes one kind of operation on the
 /// shared document. The paper manages dynamic changes of `iR`, `dR` and
 /// `uR`; the read right exists in the model (and is enforced for *joining*
 /// a session here) but is outside the scope of dynamic change in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Right {
     /// `rR` — read an element.
     Read,

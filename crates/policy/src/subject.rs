@@ -1,6 +1,5 @@
 //! Authorization subjects: a user, a set of users, a named group, or all.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use std::fmt;
 pub type UserId = u32;
 
 /// The subject part `S_i` of an authorization: which users it covers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Subject {
     /// Every user in the group (the paper's `All`).
     All,

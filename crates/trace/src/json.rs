@@ -1,6 +1,6 @@
 //! Hand-rolled JSON for event journals and flight dumps.
 //!
-//! The vendored serde stub's derives are inert, so (exactly like
+//! No JSON dependency is available offline, so (exactly like
 //! `dce-obs`' `MetricsReport::to_json`) this module writes JSON by hand
 //! and parses it with a small recursive-descent [`Value`] parser. Events
 //! serialize flat — the five coordinates plus the kind's payload fields
@@ -8,7 +8,7 @@
 //! `wait_*`, …) — so the output greps well and external tools can load
 //! it without knowing the enum.
 
-use dce_obs::{DeferReason, Event, EventKind, ReqId};
+use dce_obs::{json_escape, DeferReason, Event, EventKind, ReqId};
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Integers that fit `u64` stay exact (`Int`);
@@ -223,23 +223,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 /// Escapes and quotes `s` as a JSON string literal.
 pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json_escape(s))
 }
 
 /// Serializes a journal as a JSON array, one flat object per event.

@@ -20,7 +20,7 @@
 //!   evidence behind;
 //! * [`render`] draws span trees and per-site swimlanes as text or
 //!   SVG; [`json`] is the hand-rolled serialization layer under the
-//!   dumps (the vendored serde stub is inert).
+//!   dumps (no JSON dependency is available offline).
 //!
 //! Like `dce-obs`, this crate depends on nothing above it in the
 //! stack — it consumes `Event`s and can therefore post-mortem any
