@@ -17,7 +17,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 const USAGE: &str = "usage: dce-check [options]
-  --scenario <fig1|fig2|fig3|fig4|fig5>   scenario (default fig2)
+  --scenario <fig1|…|fig5|gc>            scenario (default fig2)
   --sites <n>                             sites incl. administrator (default 3)
   --ops <k>                               cooperative operations (default 4)
   --dups <d>                              duplicate deliveries per message (default 0)

@@ -111,14 +111,17 @@ impl fmt::Display for Violation {
 pub(crate) fn check_quiescent(runner: &Runner) -> Option<Violation> {
     debug_assert!(runner.is_quiescent());
     let sites = runner.net.sites();
-    convergence(sites).or_else(|| per_site(sites)).or_else(|| legality(sites))
+    convergence(sites, runner.scenario.compact)
+        .or_else(|| per_site(sites))
+        .or_else(|| legality(sites))
 }
 
 /// Oracle 1 — convergence: documents, policies, administrative logs and
-/// flag tables must be identical across sites. The explorer never
-/// compacts, so full flag-table equality is required (the looser
-/// common-id comparison of `SimNet::check_converged` is for GC runs).
-fn convergence(sites: &[Site<Char>]) -> Option<Violation> {
+/// flag tables must be identical across sites. Without compaction full
+/// flag-table equality is required; a compacting scenario prunes settled
+/// rows at different moments per site, so there the flag tables must
+/// agree on their behavioural digest (settled fold plus tentative rows).
+fn convergence(sites: &[Site<Char>], compact: bool) -> Option<Violation> {
     let diverged =
         |right: usize, what: String| Some(Violation::Divergence { left: 0, right, what });
     for (i, s) in sites.iter().enumerate().skip(1) {
@@ -147,7 +150,12 @@ fn convergence(sites: &[Site<Char>]) -> Option<Violation> {
         }
         let fa: HashMap<RequestId, Flag> = a.flags().collect();
         let fb: HashMap<RequestId, Flag> = b.flags().collect();
-        if fa != fb {
+        let differ = if compact {
+            a.replica_digest_parts()[3] != b.replica_digest_parts()[3]
+        } else {
+            fa != fb
+        };
+        if differ {
             return diverged(i, format!("flags {fa:?} vs {fb:?}"));
         }
     }
@@ -186,13 +194,15 @@ fn per_site(sites: &[Site<Char>]) -> Option<Violation> {
 /// Oracle 4 — legality (Fig. 4): every request the administrator
 /// validated ends `Valid` at every site. At quiescence the administrative
 /// logs agree (convergence runs first), so site 0's log lists every
-/// validation ever issued.
+/// validation ever issued (those compaction kept: it drops
+/// non-restrictive entries). A compacted request's fate is judged by
+/// [`Site::fate`].
 fn legality(sites: &[Site<Char>]) -> Option<Violation> {
     for r in sites[0].admin_log().iter() {
         if let AdminOp::Validate { site, seq } = r.op {
             let id = RequestId::new(site, seq);
             for (i, s) in sites.iter().enumerate() {
-                let flag = s.flag_of(id);
+                let flag = s.fate(id);
                 if flag != Some(Flag::Valid) {
                     return Some(Violation::ValidationLost { site: i, id, flag });
                 }

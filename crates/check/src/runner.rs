@@ -204,6 +204,7 @@ impl Runner {
                     LocalAction::Admin(op) => {
                         self.net.admin_generate(site, op)?;
                     }
+                    LocalAction::Heartbeat => self.net.heartbeat(site),
                     coop => {
                         if let Some(op) = self.fold(site, &coop) {
                             match self.net.generate(site, op) {
@@ -217,11 +218,14 @@ impl Runner {
                     }
                 }
             }
-            Choice::Deliver { id, dup, .. } => {
+            Choice::Deliver { id, dest, dup } => {
                 if dup {
                     self.net.deliver_duplicate(id)?;
                 } else {
                     self.net.deliver(id)?;
+                }
+                if self.scenario.compact {
+                    self.net.site_mut(dest).auto_compact();
                 }
             }
         }
@@ -250,7 +254,9 @@ impl Runner {
                 let p = 1 + (pos - 1) % len;
                 Some(Op::up(p, *doc.get(p).expect("folded position is in range"), *ch))
             }
-            LocalAction::Admin(_) => unreachable!("admin actions are not folded"),
+            LocalAction::Admin(_) | LocalAction::Heartbeat => {
+                unreachable!("only cooperative actions are folded")
+            }
         }
     }
 }

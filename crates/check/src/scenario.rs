@@ -41,6 +41,9 @@ pub enum LocalAction {
     /// An administrative operation — the acting site must be the
     /// administrator.
     Admin(AdminOp),
+    /// Broadcast a heartbeat carrying the site's clock (it drives the
+    /// peers' stability horizons).
+    Heartbeat,
 }
 
 /// A bounded exploration scenario.
@@ -59,6 +62,9 @@ pub struct Scenario {
     pub max_dups: u8,
     /// Round-trip every delivery through the binary wire codec.
     pub wire_codec: bool,
+    /// Run the stability-horizon compactor (`Site::auto_compact`) at the
+    /// destination after every delivery.
+    pub compact: bool,
 }
 
 impl Scenario {
@@ -67,8 +73,8 @@ impl Scenario {
         self.programs.len()
     }
 
-    /// Builds a figure scenario by name (`fig1` … `fig5`) with `sites`
-    /// sites and `ops` cooperative operations. Returns `None` for an
+    /// Builds a figure scenario by name (`fig1` … `fig5`, or `gc`) with
+    /// `sites` sites and `ops` cooperative operations. Returns `None` for an
     /// unknown name or fewer than two sites.
     pub fn by_name(name: &str, sites: usize, ops: usize) -> Option<Scenario> {
         if sites < 2 {
@@ -80,6 +86,7 @@ impl Scenario {
             "fig3" => Some(Self::fig3(sites, ops)),
             "fig4" => Some(Self::fig4(sites, ops)),
             "fig5" => Some(Self::fig5(sites, ops)),
+            "gc" => Some(Self::gc(sites, ops)),
             _ => None,
         }
     }
@@ -92,6 +99,7 @@ impl Scenario {
             programs: vec![Vec::new(); sites],
             max_dups: 0,
             wire_codec: true,
+            compact: false,
         }
     }
 
@@ -200,6 +208,23 @@ impl Scenario {
             };
             s.programs[site].push(action);
         }
+        s
+    }
+
+    /// Compaction under a racing horizon: the users' mixed edits, each
+    /// user's program ending in one heartbeat, with every destination
+    /// compacting after every delivery (the administrator, who hears from
+    /// every other member, is the one that can form a horizon). A user's
+    /// heartbeat can overtake its own edit, which is concurrent with the
+    /// other user's, so a compactor that reclaimed an entry some pending
+    /// request still transforms against diverges on some interleaving.
+    pub fn gc(sites: usize, ops: usize) -> Scenario {
+        let mut s = Self::base("gc", sites);
+        Self::spread_coop(&mut s.programs, ops);
+        for program in s.programs.iter_mut().skip(1) {
+            program.push(LocalAction::Heartbeat);
+        }
+        s.compact = true;
         s
     }
 }

@@ -183,7 +183,7 @@ mod tests {
             s1.receive(m).unwrap();
         }
         let horizon = gc::stability_horizon([s1.engine().clock(), adm.engine().clock()]);
-        assert_eq!(gc::compact(&mut s1, &horizon), 1);
+        assert_eq!(s1.compact_stable(&horizon), 1);
         let m = metrics(&s1);
         assert_eq!(m.compacted, 1);
         assert_eq!(m.total_requests, 1);

@@ -34,6 +34,11 @@ use dce_policy::{Action, AdminOp, AdminRequest, Decision, Policy, PolicyCell, Us
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
+/// Combined (canonical + admin) log length that arms the always-on
+/// stability-horizon compactor of every [`Engine`] shard. See
+/// [`Engine::receive`] for when it fires.
+pub const COMPACT_WATERMARK: usize = 192;
+
 /// Journal hooks a durable store implements to ride along the engine's
 /// protocol operations (`dce-store` is the one real implementation; the
 /// trait lives here so `dce-core` stays free of I/O). The contract is
@@ -49,11 +54,12 @@ use std::sync::{Arc, Mutex, RwLock};
 ///   re-execute it and assert the replay did not diverge;
 /// * [`ShardStore::journal_compact`] records that the stability-horizon
 ///   compactor ran, so replay prunes at the same point;
-/// * [`ShardStore::snapshot`] is the compaction opportunity: the store
-///   may persist a full snapshot if the site is quiescent (no queued
-///   messages, empty outbox) and enough records accumulated; `force`
-///   marks the explicit [`Engine::auto_compact`] horizon, where servers
-///   gate snapshots on group-wide delivery stability.
+/// * [`ShardStore::snapshot`] is the snapshot opportunity: the store may
+///   persist a full snapshot if the site is quiescent (no queued messages,
+///   empty outbox) and enough records accumulated; `force` marks the
+///   explicit [`Engine::auto_compact`] call, where servers gate snapshots
+///   on group-wide delivery stability. The always-on compactor compacts in
+///   memory and journals `Compact`, but never forces a snapshot.
 ///
 /// Every hook takes `&self`: the engine invokes them under the shard
 /// lock, so a store needs interior mutability but no cross-document
@@ -99,9 +105,6 @@ pub struct Engine<E: Element> {
     /// Durable journal hooks (none by default — engines are in-memory
     /// unless [`Engine::with_store`] attaches a store).
     store: Option<Arc<dyn ShardStore<E>>>,
-    /// Log-size watermark of the always-on compactor (`None` = explicit
-    /// [`Engine::auto_compact`] calls only). See [`Engine::with_compaction`].
-    compact_watermark: Option<usize>,
 }
 
 impl<E: Element> Engine<E> {
@@ -122,28 +125,7 @@ impl<E: Element> Engine<E> {
             route: RwLock::new(Arc::new(HashMap::new())),
             obs: ObsHandle::default(),
             store: None,
-            compact_watermark: None,
         }
-    }
-
-    /// Turns on the always-on stability-horizon compactor. After any
-    /// protocol mutation (generate / admin_generate / receive) that
-    /// leaves a shard's canonical-log-plus-admin-log length at or above
-    /// the current trigger point, the engine runs [`Site::auto_compact`]
-    /// under the same shard lock — provided a horizon is computable at
-    /// all ([`Site::horizon_ready`]) — journaling the compaction point
-    /// and forcing a snapshot opportunity when a store is attached.
-    ///
-    /// The trigger starts at `watermark` and, after every attempt, moves
-    /// to the post-compaction length plus `watermark`: when the horizon
-    /// advances normally the logs oscillate around `watermark` entries,
-    /// and when a silent member pins the horizon the logs grow as they
-    /// must, but each further attempt (and WAL `Compact` record) costs
-    /// `watermark` new entries — the compactor can never dominate the
-    /// journal it is trying to bound.
-    pub fn with_compaction(mut self, watermark: usize) -> Self {
-        self.compact_watermark = Some(watermark.max(1));
-        self
     }
 
     /// Attaches a process-wide observability handle; each shard created
@@ -228,8 +210,7 @@ impl<E: Element> Engine<E> {
         site.set_document(doc);
         site.set_observability(self.obs.for_doc(doc.as_u64()));
         let policy = PolicyCell::from_shared(site.policy_snapshot());
-        let compact_at =
-            std::sync::atomic::AtomicUsize::new(self.compact_watermark.unwrap_or(usize::MAX));
+        let compact_at = std::sync::atomic::AtomicUsize::new(COMPACT_WATERMARK);
         Arc::new(Shard { site: Mutex::new(site), policy, compact_at })
     }
 
@@ -299,23 +280,43 @@ impl<E: Element> Engine<E> {
         Some(out)
     }
 
-    /// The always-on compactor's trigger check: runs after every protocol
-    /// mutation when [`Engine::with_compaction`] armed it. Fires only when
-    /// the combined log length crossed the shard's trigger point *and* a
-    /// stability horizon is computable — [`Site::auto_compact`] without
-    /// one is a pure no-op that would still cost a WAL record.
-    fn maybe_compact(&self, doc: DocumentId, shard: &Shard<E>, site: &mut Site<E>) {
+    /// The always-on stability-horizon compactor, run under the shard lock
+    /// after every protocol mutation (generate / admin_generate / receive).
+    /// It runs [`Site::auto_compact`] when a horizon is computable at all
+    /// ([`Site::horizon_ready`]) and either
+    ///
+    /// * the combined (canonical + admin) log length reached the shard's
+    ///   trigger point — [`COMPACT_WATERMARK`] at first, then the
+    ///   post-compaction length plus [`COMPACT_WATERMARK`]: when the
+    ///   horizon advances normally the logs oscillate around the
+    ///   watermark, and when a silent member pins it the logs grow as they
+    ///   must, but each further attempt (and WAL `Compact` record) costs a
+    ///   watermark of new entries; or
+    /// * `heartbeat` — the mutation delivered a heartbeat, which is what
+    ///   moves the horizon — and the logs are past the watermark.
+    ///
+    /// Each attempt journals `Compact` when a store is attached, so replay
+    /// prunes at the same point; it never forces a snapshot (see
+    /// [`Engine::auto_compact`]).
+    fn maybe_compact(
+        &self,
+        doc: DocumentId,
+        shard: &Shard<E>,
+        site: &mut Site<E>,
+        heartbeat: bool,
+    ) {
         use std::sync::atomic::Ordering;
         use std::time::Instant;
-        let Some(wm) = self.compact_watermark else { return };
         let combined = site.engine().log().len() + site.admin_log().len();
-        if combined < shard.compact_at.load(Ordering::Relaxed) || !site.horizon_ready() {
+        let due = combined >= shard.compact_at.load(Ordering::Relaxed)
+            || (heartbeat && combined >= COMPACT_WATERMARK);
+        if !due || !site.horizon_ready() {
             return;
         }
         let t = Instant::now();
         site.auto_compact();
         let after = site.engine().log().len() + site.admin_log().len();
-        shard.compact_at.store(after + wm, Ordering::Relaxed);
+        shard.compact_at.store(after + COMPACT_WATERMARK, Ordering::Relaxed);
         let obs = self.obs.for_doc(doc.0);
         obs.add_counter("engine.auto_compactions", 1);
         obs.observe_hist("engine.compact_ns", t.elapsed().as_nanos() as u64);
@@ -323,7 +324,6 @@ impl<E: Element> Engine<E> {
         obs.observe_hist("engine.compact_log_after", after as u64);
         if let Some(store) = &self.store {
             store.journal_compact(doc);
-            store.snapshot(doc, site, true);
         }
     }
 
@@ -350,7 +350,7 @@ impl<E: Element> Engine<E> {
             if let Some(store) = &self.store {
                 store.journal_local_coop(doc, &input.expect("cloned with store"), &q);
             }
-            self.maybe_compact(doc, shard, site);
+            self.maybe_compact(doc, shard, site, false);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -367,7 +367,7 @@ impl<E: Element> Engine<E> {
             if let Some(store) = &self.store {
                 store.journal_local_admin(doc, &r);
             }
-            self.maybe_compact(doc, shard, site);
+            self.maybe_compact(doc, shard, site, false);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -379,14 +379,18 @@ impl<E: Element> Engine<E> {
     /// Delivers a remote message to `doc`'s shard. With a store attached
     /// the message is journaled *before* application (write-ahead): a
     /// crash mid-apply replays it, and application — errors included —
-    /// is deterministic.
+    /// is deterministic. A delivered heartbeat may move the stability
+    /// horizon, so past [`COMPACT_WATERMARK`] it also runs the compactor
+    /// (see `maybe_compact`): members compact on the heartbeats a server
+    /// relays, without opting in.
     pub fn receive(&self, doc: DocumentId, msg: Message<E>) -> Result<(), CoreError> {
         self.with_shard(doc, |shard, site| {
             if let Some(store) = &self.store {
                 store.journal_remote(doc, &msg);
             }
+            let heartbeat = matches!(msg, Message::Heartbeat { .. });
             let out = site.receive(msg);
-            self.maybe_compact(doc, shard, site);
+            self.maybe_compact(doc, shard, site, heartbeat);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -397,9 +401,10 @@ impl<E: Element> Engine<E> {
 
     /// Runs the stability-horizon compactor on `doc`'s site, journaling
     /// the compaction point and offering the store a forced snapshot
-    /// opportunity (the `auto_compact` horizon of the durability design:
-    /// everything below it is settled group-wide). Returns the number of
-    /// log entries reclaimed, `None` when `doc` is not hosted.
+    /// opportunity — the call a durable server makes once every member has
+    /// acknowledged everything, so a snapshot never swallows a record some
+    /// member still needs redelivered. Returns the number of log entries
+    /// reclaimed, `None` when `doc` is not hosted.
     pub fn auto_compact(&self, doc: DocumentId) -> Option<usize> {
         use std::time::Instant;
         self.with(doc, |site| {
@@ -569,16 +574,17 @@ mod tests {
     /// across a long session, without perturbing convergence.
     #[test]
     fn watermark_compaction_keeps_logs_bounded() {
-        const WM: usize = 8;
-        let adm = Engine::new_admin(0).with_compaction(WM);
-        let usr = Engine::new_user(1, 0).with_compaction(WM);
+        const WM: usize = COMPACT_WATERMARK;
+        let adm = Engine::new_admin(0);
+        let usr = Engine::new_user(1, 0);
         let d0 = CharDocument::from_str("ab");
         let policy = Policy::permissive([0, 1]);
         adm.create_document(doc(1), d0.clone(), policy.clone()).unwrap();
         usr.create_document(doc(1), d0, policy).unwrap();
 
         let mut peak = 0usize;
-        for round in 0..200 {
+        let mut first_prune = None;
+        for round in 0..6 * WM {
             let m = usr.generate(doc(1), Op::ins(1, (b'a' + (round % 26) as u8) as char)).unwrap();
             adm.receive(doc(1), m).unwrap();
             settle(&adm, &usr);
@@ -591,12 +597,18 @@ mod tests {
                 let len = e.with(doc(1), |s| s.engine().log().len() + s.admin_log().len()).unwrap();
                 peak = peak.max(len);
             }
+            if first_prune.is_none() && usr.with(doc(1), |s| s.engine().pruned_count()) > Some(0) {
+                first_prune = Some(round);
+            }
         }
         // Combined length never exceeds one watermark past the trigger
         // point (the trigger is `post-compaction length + WM`, and the
         // post-compaction residue under prompt heartbeats is small).
         assert!(peak <= 3 * WM, "logs not bounded: peak combined length {peak}");
-        assert!(peak >= WM, "compactor fired before the watermark: peak {peak}");
+        // Each round adds two entries (the op and its validation): the
+        // first compaction waits for the watermark.
+        let first = first_prune.expect("the compactor never fired");
+        assert!(2 * (first + 1) >= WM, "compactor fired before the watermark: round {first}");
         assert_eq!(adm.replica_digest(doc(1)), usr.replica_digest(doc(1)));
         assert_eq!(adm.document(doc(1)).unwrap(), usr.document(doc(1)).unwrap());
     }

@@ -2,23 +2,21 @@
 //!
 //! "As the length of local (administrative and cooperative) logs increases
 //! rapidly during collaboration sessions, we plan to address the garbage
-//! collection problem." This module implements the natural solution for the
-//! cooperative log `H`: a prefix of the log can be dropped once every entry
-//! in it is **stable** —
+//! collection problem." The natural solution for the cooperative log `H`
+//! ([`crate::Site::compact_stable`]): an entry can be reclaimed, wherever it
+//! sits in the log, once it is
 //!
 //! * *acknowledged everywhere*: contained in every participant's causal
 //!   clock, so every future request's generation context includes it and
-//!   its transformed form is never consulted again; and
+//!   every future partition puts it in the prefix; and
 //! * *settled*: `Valid` or `Invalid`, never `Tentative` — tentative entries
 //!   can still be retroactively undone, which requires their log forms.
 //!
 //! The group-wide acknowledgement clock (the pointwise minimum of all
-//! sites' clocks) is computed by the session layer (`dce-editor`) from
-//! periodic heartbeat clocks; this module only needs the result.
+//! sites' clocks) is computed from heartbeat clocks
+//! ([`crate::Site::auto_compact`]) or by the session layer; this module
+//! only computes the minimum.
 
-use crate::request::Flag;
-use crate::site::Site;
-use dce_document::Element;
 use dce_ot::ids::Clock;
 
 /// Pointwise minimum of a set of clocks: the requests every participant
@@ -44,37 +42,11 @@ pub fn stability_horizon<'a>(clocks: impl IntoIterator<Item = &'a Clock>) -> Clo
     horizon
 }
 
-/// The request ids of the maximal compactible log prefix of `site`: every
-/// entry below `horizon` and settled, stopping at the first entry that is
-/// not. These are exactly the requests [`compact`] would reclaim —
-/// observability emits a `ReqStable` event per id before the log forms
-/// are dropped.
-pub fn settled_prefix<E: Element>(site: &Site<E>, horizon: &Clock) -> Vec<dce_ot::ids::RequestId> {
-    let mut ids = Vec::new();
-    for entry in site.engine().log().iter() {
-        let settled = matches!(site.flag_of(entry.id), Some(Flag::Valid) | Some(Flag::Invalid));
-        if settled && horizon.contains(entry.id) {
-            ids.push(entry.id);
-        } else {
-            break;
-        }
-    }
-    ids
-}
-
-/// Compacts the cooperative log of `site`: drops the maximal log prefix
-/// whose entries are all below `horizon` and settled. Returns the number
-/// of entries removed.
-pub fn compact<E: Element>(site: &mut Site<E>, horizon: &Clock) -> usize {
-    let n = settled_prefix(site, horizon).len();
-    site.prune_log_prefix(n);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Message;
+    use crate::request::{Flag, Message};
+    use crate::site::Site;
     use dce_document::{Char, CharDocument, Op};
     use dce_policy::Policy;
 
@@ -132,10 +104,10 @@ mod tests {
         let horizon = stability_horizon(clocks.iter());
         assert_eq!(horizon.get(1), 2);
 
-        assert_eq!(compact(&mut s1, &horizon), 2);
+        assert_eq!(s1.compact_stable(&horizon), 2);
         assert_eq!(s1.engine().log().len(), 0);
         assert_eq!(s1.engine().pruned_count(), 2);
-        assert_eq!(compact(&mut s2, &horizon), 2);
+        assert_eq!(s2.compact_stable(&horizon), 2);
 
         // The session continues to work after compaction: concurrent edits
         // still converge.
@@ -157,7 +129,35 @@ mod tests {
         // Even a fully acknowledged clock cannot compact a tentative entry.
         let mut horizon = Clock::new();
         horizon.set(1, q.ot.id.seq);
-        assert_eq!(compact(&mut s1, &horizon), 0);
+        assert_eq!(s1.compact_stable(&horizon), 0);
         assert_eq!(s1.engine().log().len(), 1);
+    }
+
+    #[test]
+    fn stable_entries_behind_a_tentative_one_are_reclaimed() {
+        let p = Policy::permissive([0, 1, 2]);
+        let mut adm: Site<Char> = Site::new_admin(0, doc("abc"), p.clone());
+        let mut s1: Site<Char> = Site::new_user(1, 0, doc("abc"), p.clone());
+        let mut s2: Site<Char> = Site::new_user(2, 0, doc("abc"), p);
+        // s1's own insertion stays tentative (its validation is not back
+        // yet); s2's deletion is validated and lands behind it in s1's
+        // canonical log, where a settled-prefix rule could never reach it.
+        let mine = s1.generate(Op::ins(1, 'x')).unwrap();
+        let theirs = s2.generate(Op::del(1, 'a')).unwrap();
+        adm.receive(Message::Coop(theirs.clone())).unwrap();
+        s1.receive(Message::Coop(theirs.clone())).unwrap();
+        for m in adm.drain_outbox() {
+            s1.receive(m).unwrap();
+        }
+        assert_eq!(s1.engine().log().entry(1).id, theirs.ot.id);
+
+        let mut horizon = Clock::new();
+        horizon.set(2, 1);
+        assert_eq!(s1.compact_stable(&horizon), 1);
+        assert_eq!(s1.engine().log().len(), 1);
+        assert_eq!(s1.document().to_string(), "xbc");
+        assert_eq!(s1.flag_of(theirs.ot.id), None, "the settled row was reclaimed");
+        assert_eq!(s1.fate(theirs.ot.id), Some(Flag::Valid));
+        assert_eq!(s1.fate(mine.ot.id), Some(Flag::Tentative));
     }
 }

@@ -54,7 +54,7 @@ pub mod shard;
 pub mod site;
 
 pub use audit::{audit, metrics, AuditRecord, SiteMetrics};
-pub use engine::{Engine, ShardStore};
+pub use engine::{Engine, ShardStore, COMPACT_WATERMARK};
 pub use error::CoreError;
 pub use reference::ScanSite;
 pub use request::{AdminProposal, CoopRequest, Flag, Message};

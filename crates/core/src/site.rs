@@ -206,9 +206,28 @@ impl<E: Element> Site<E> {
         &self.engine
     }
 
-    /// Flag of a cooperative request, if known at this site.
+    /// Flag of a cooperative request, if known at this site. Compaction
+    /// drops the rows of settled requests; [`Site::fate`] still answers
+    /// for those.
     pub fn flag_of(&self, id: RequestId) -> Option<Flag> {
         self.flags.flag_of(id)
+    }
+
+    /// How a request integrated here ended up: its flag, or — once
+    /// compaction reclaimed it, which only settled requests are —
+    /// `Valid` when it was reclaimed live and `Invalid` when inert.
+    /// `None` for a request never integrated here.
+    pub fn fate(&self, id: RequestId) -> Option<Flag> {
+        self.flags.flag_of(id).or_else(|| {
+            let reclaimed = self.engine.has_seen(id) && self.engine.log().get(id).is_none();
+            reclaimed.then(|| {
+                if self.engine.pruned_inert().contains(&id) {
+                    Flag::Invalid
+                } else {
+                    Flag::Valid
+                }
+            })
+        })
     }
 
     /// All request flags known at this site (order unspecified). Used by
@@ -491,12 +510,6 @@ impl<E: Element> Site<E> {
         [part(doc.as_slice()), part(&*self.policy), part(&self.admin_log), self.flags.digest()]
     }
 
-    /// Drops the first `n` entries of the cooperative log (used by
-    /// [`crate::gc::compact`] once they are stable group-wide).
-    pub fn prune_log_prefix(&mut self, n: usize) {
-        self.engine.prune_prefix(n);
-    }
-
     /// Takes the messages this site emitted while processing receptions
     /// (the administrator's `Validate` requests). The caller must
     /// broadcast them to the group.
@@ -595,12 +608,12 @@ impl<E: Element> Site<E> {
             .all(|user| *user == self.user || self.peer_clocks.contains_key(user))
     }
 
-    /// Compacts the settled log prefix using the heartbeat-derived
-    /// stability horizon: an entry may be dropped only once every *other*
-    /// member of the subject set `S` has acknowledged it (and it is no
-    /// longer tentative). Members that have never sent a heartbeat hold
-    /// compaction back — safe by construction. Returns the number of log
-    /// entries reclaimed.
+    /// Compacts the log using the heartbeat-derived stability horizon
+    /// ([`Site::compact_stable`]): an entry may be dropped only once every
+    /// *other* member of the subject set `S` has acknowledged it (and it is
+    /// no longer tentative), wherever it sits in the canonical log. Members
+    /// that have never sent a heartbeat hold compaction back — safe by
+    /// construction. Returns the number of log entries reclaimed.
     ///
     /// The diagnostics vectors ([`Site::denials`], [`Site::undone`],
     /// [`Site::rejected_proposals`]) are trimmed along the way: entries
@@ -634,7 +647,7 @@ impl<E: Element> Site<E> {
         // Refused proposals never entered the causal order at all; once the
         // group has a horizon they are settled history.
         self.rejected_proposals.clear();
-        // The form-dropping prunes below (log prefix, flag rows, chain
+        // The form-dropping prunes below (log entries, flag rows, chain
         // links) additionally require that this site has *delivered*
         // everything any heartbeat announced — every peer clock pointwise
         // within our own. A heartbeat can outrun the traffic it vouches
@@ -654,26 +667,7 @@ impl<E: Element> Site<E> {
             self.obs.set_gauge("site.admin_log_len", self.admin_log.len() as u64);
             return 0;
         }
-        let stable = crate::gc::settled_prefix(self, &horizon);
-        if self.obs.enabled() {
-            // The span-closing edge: these log entries are about to be
-            // reclaimed, so the requests are stable group-wide.
-            for id in &stable {
-                self.emit(EventKind::ReqStable { id: obs_id(*id) });
-            }
-        }
-        let reclaimed = stable.len();
-        self.prune_log_prefix(reclaimed);
-        // The reclaimed entries' flags are settled and stable group-wide:
-        // no transition, duplicate or retroactive check can touch them
-        // again, so the flag table sheds them too (folding their hashes
-        // into its pruned accumulator keeps digests comparable with
-        // replicas that compacted at other moments, or never). Without
-        // this the flag table is the one structure that still grows with
-        // session length rather than with the live log.
-        for id in stable {
-            self.flags.prune_settled(id);
-        }
+        let reclaimed = self.compact_stable(&horizon);
         // Provenance chains are the other per-update structure; the
         // delivered-everything gate above is exactly the caller guarantee
         // `dce_ot::Engine::prune_chains` requires for its collapse.
@@ -684,6 +678,36 @@ impl<E: Element> Site<E> {
         self.obs.set_gauge("site.log_len", self.engine.log().len() as u64);
         self.obs.set_gauge("site.admin_log_len", self.admin_log.len() as u64);
         reclaimed
+    }
+
+    /// Reclaims every cooperative-log entry that is below `horizon` and
+    /// settled (`Valid` or `Invalid`), wherever it sits in the canonical
+    /// log — behind this site's own tentative requests included (see
+    /// `dce_ot::Engine::prune_stable` and [`crate::gc`]). Returns the number
+    /// of entries reclaimed. `horizon` must be stable group-wide: below
+    /// every participant's clock and inside the context of every request
+    /// still on its way here ([`Site::auto_compact`] derives one from
+    /// heartbeats and checks the second half).
+    ///
+    /// The reclaimed entries' flags are settled and stable group-wide: no
+    /// transition, duplicate or retroactive check can touch them again, so
+    /// the flag table sheds them too (folding their hashes into its pruned
+    /// accumulator keeps digests comparable with replicas that compacted at
+    /// other moments, or never). Without this the flag table is the one
+    /// structure that still grows with session length rather than with the
+    /// live log.
+    pub fn compact_stable(&mut self, horizon: &Clock) -> usize {
+        let flags = &self.flags;
+        let stable = self.engine.prune_stable(|e| {
+            horizon.contains(e.id)
+                && matches!(flags.flag_of(e.id), Some(Flag::Valid | Flag::Invalid))
+        });
+        for id in &stable {
+            // The span-closing edge: the request is stable group-wide.
+            self.emit(EventKind::ReqStable { id: obs_id(*id) });
+            self.flags.prune_settled(*id);
+        }
+        stable.len()
     }
 
     /// Proposes an administrative operation as a *delegate*: checked

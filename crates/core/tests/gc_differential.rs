@@ -6,8 +6,15 @@
 //! by every group member, so it must never change the document, the
 //! policy, the administrative log, how queued messages wake, or what the
 //! site generates next. Any observable difference fails the property.
+//!
+//! The second property puts the compacting site where the socket
+//! deployment does: a *writer* in a star, keeping a window of its own
+//! tentative insertions in flight, compacting on the heartbeats the hub
+//! relays. Its own tentative insertions sit in front of the whole
+//! deletion/update block of the canonical log, so only a compactor that
+//! reclaims stable entries *behind* them keeps its log bounded.
 
-use dce_core::{gc, Message, Site};
+use dce_core::{gc, DocumentId, Engine, Message, Site, COMPACT_WATERMARK};
 use dce_document::{Char, CharDocument, Op};
 use dce_ot::ids::Clock;
 use dce_policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
@@ -270,5 +277,154 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "one observer denied the edit: {:?} vs {:?}", a, b),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A generating member in a star, compacting on relayed heartbeats
+// ---------------------------------------------------------------------
+
+/// A locally valid edit on `text`: ins 60 / del 25 / up 15, by `roll`.
+fn star_edit(text: &str, roll: usize, letter: char) -> Op<Char> {
+    let chars: Vec<char> = text.chars().collect();
+    let len = chars.len();
+    let pos = 1 + (roll / 100) % len.max(1);
+    match roll % 100 {
+        _ if len == 0 => Op::ins(1, letter),
+        0..=59 => Op::ins(1 + (roll / 100) % (len + 1), letter),
+        60..=84 => Op::del(pos, chars[pos - 1]),
+        _ => Op::up(pos, chars[pos - 1], letter.to_ascii_uppercase()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Member 1 is a default [`Engine`] (always-on compactor) with an
+    /// uncompacted [`Site`] twin fed the same stream. The hub is the
+    /// administrator replica plus per-member FIFO queues, like the
+    /// server: it relays every request, then its validations, and on each
+    /// horizon pass vouches the administrator's clock for every member
+    /// that has delivered everything and has nothing of its own still
+    /// queued up (the cumulative-ack condition), and relays those
+    /// heartbeats. Member 1 lags behind its queue and keeps up to 8
+    /// unvalidated insertions of its own in flight.
+    #[test]
+    fn a_generating_member_compacts_behind_its_own_tentative_ops(
+        seed in any::<u64>(),
+        lag in 1usize..6,
+    ) {
+        const DOC: DocumentId = DocumentId::ROOT;
+        const WINDOW: usize = 8;
+        const ROUNDS: usize = 220;
+        let d0 = CharDocument::from_str("the quick brown fox");
+        let policy = Policy::permissive([0, 1, 2]);
+        let mut admin: Site<Char> = Site::new_admin(0, d0.clone(), policy.clone());
+        let member: Engine<Char> = Engine::new_user(1, 0);
+        member.create_document(DOC, d0.clone(), policy.clone()).unwrap();
+        let mut twin: Site<Char> = Site::new_user(1, 0, d0.clone(), policy.clone());
+        let mut peer: Site<Char> = Site::new_user(2, 0, d0, policy);
+        // up[u]: member u → hub; down[u]: hub → member u (index 0 unused).
+        let mut up: Vec<VecDeque<Message<Char>>> = vec![VecDeque::new(); 3];
+        let mut down: Vec<VecDeque<Message<Char>>> = vec![VecDeque::new(); 3];
+        let mut rng = seed;
+        let mut peak = 0usize;
+        let combined = |e: &Engine<Char>| {
+            e.with(DOC, |s| s.engine().log().len() + s.admin_log().len()).unwrap()
+        };
+
+        // Member 1 is a closed loop: every validation that frees a slot of
+        // its window is refilled at once, so whenever a relayed heartbeat
+        // lands, insertions of its own are still tentative in its log. The
+        // twin must produce the very same requests.
+        macro_rules! refill {
+            ($round:expr) => {
+                loop {
+                    let tentative = member
+                        .with(DOC, |s| {
+                            s.engine()
+                                .log()
+                                .iter()
+                                .filter(|e| {
+                                    e.id.site == 1
+                                        && s.flag_of(e.id) == Some(dce_core::Flag::Tentative)
+                                })
+                                .count()
+                        })
+                        .unwrap();
+                    if tentative >= WINDOW {
+                        break;
+                    }
+                    let letter = char::from(b'a' + (next(&mut rng) % 26) as u8);
+                    let text = member.document(DOC).unwrap().to_string();
+                    let op = star_edit(&text, next(&mut rng), letter);
+                    let q = member.generate(DOC, op.clone()).unwrap();
+                    let t = Message::Coop(twin.generate(op).unwrap());
+                    prop_assert_eq!(&t, &q, "round {}", $round);
+                    up[1].push_back(q);
+                }
+            };
+        }
+
+        for round in 0..ROUNDS {
+            let letter = char::from(b'a' + (round % 26) as u8);
+            refill!(round);
+            if next(&mut rng).is_multiple_of(2) {
+                let op = star_edit(&peer.document().to_string(), next(&mut rng), letter);
+                up[2].push_back(Message::Coop(peer.generate(op).unwrap()));
+            }
+            // The hub processes everything queued up, relaying in order.
+            for from in [1usize, 2] {
+                while let Some(m) = up[from].pop_front() {
+                    admin.receive(m.clone()).unwrap();
+                    down[3 - from].push_back(m);
+                    for out in admin.drain_outbox() {
+                        down[1].push_back(out.clone());
+                        down[2].push_back(out);
+                    }
+                }
+            }
+            // Member 2 keeps up; member 1 lags.
+            while let Some(m) = down[2].pop_front() {
+                peer.receive(m).unwrap();
+            }
+            // Horizon pass: vouch for caught-up members, relay.
+            if round.is_multiple_of(4) {
+                let clock = admin.engine().clock().clone();
+                let acked: Vec<u32> =
+                    (1..=2u32).filter(|&u| down[u as usize].is_empty() && up[u as usize].is_empty()).collect();
+                for to in 1..=2u32 {
+                    down[to as usize].push_back(Message::Heartbeat { from: 0, clock: clock.clone() });
+                    for &v in acked.iter().filter(|&&v| v != to) {
+                        down[to as usize].push_back(Message::Heartbeat { from: v, clock: clock.clone() });
+                    }
+                }
+            }
+            let deliveries = if round.is_multiple_of(lag) { down[1].len() } else { next(&mut rng) % 3 };
+            for _ in 0..deliveries {
+                let Some(m) = down[1].pop_front() else { break };
+                member.receive(DOC, m.clone()).unwrap();
+                twin.receive(m).unwrap();
+                prop_assert_eq!(member.document(DOC).unwrap(), twin.document(), "round {}", round);
+                peak = peak.max(combined(&member));
+                refill!(round);
+            }
+        }
+        while let Some(m) = down[1].pop_front() {
+            member.receive(DOC, m.clone()).unwrap();
+            twin.receive(m).unwrap();
+        }
+
+        let reclaimed = member.with(DOC, |s| s.engine().pruned_count()).unwrap();
+        prop_assert!(reclaimed > 0, "the member never compacted");
+        prop_assert!(
+            peak <= 2 * COMPACT_WATERMARK,
+            "member log not bounded: peak combined length {} over {} rounds", peak, ROUNDS
+        );
+        let parts = member.with(DOC, |s| s.replica_digest_parts()).unwrap();
+        prop_assert_eq!(parts, twin.replica_digest_parts());
+        prop_assert_eq!(member.document(DOC).unwrap(), twin.document());
+        let op = Op::ins(1, 'Q');
+        prop_assert_eq!(member.generate(DOC, op.clone()).unwrap(), Message::Coop(twin.generate(op).unwrap()));
     }
 }

@@ -272,7 +272,7 @@ impl TextSession {
         let horizon = gc::stability_horizon(clocks.iter());
         let mut total = 0;
         for idx in 0..self.net.len() {
-            total += gc::compact(self.net.site_mut(idx), &horizon);
+            total += self.net.site_mut(idx).compact_stable(&horizon);
         }
         total
     }

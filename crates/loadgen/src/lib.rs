@@ -483,9 +483,9 @@ fn client_main(c: Client) -> Result<ClientOut, String> {
         }
 
         // Resolve finished requests: a flag that left `Tentative` counts
-        // the op as settled.
+        // the op as settled (compaction may already have reclaimed it).
         outstanding.retain(|&(doc, id)| {
-            match engine.with(doc, |site| site.flag_of(id)).flatten() {
+            match engine.with(doc, |site| site.fate(id)).flatten() {
                 Some(Flag::Valid) => out.resolved_valid += 1,
                 Some(Flag::Invalid) => out.resolved_invalid += 1,
                 _ => return true,

@@ -118,6 +118,12 @@ impl<E: WireElement> ScriptedNet<E> {
         Ok(r)
     }
 
+    /// Parks one leg per peer of `site`'s heartbeat (its current clock).
+    pub fn heartbeat(&mut self, site: usize) {
+        let hb = self.sites[site].make_heartbeat();
+        self.broadcast(site, hb);
+    }
+
     /// Delivers in-flight message `id` to its destination, consuming it.
     /// Messages the destination emits while receiving (the administrator's
     /// validations) are parked as new flights.

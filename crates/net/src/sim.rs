@@ -228,9 +228,9 @@ impl<E: Element> SimNet<E> {
     /// delivery that leaves a site's combined canonical-plus-admin log
     /// length at or above its trigger point, the site `auto_compact`s
     /// (provided a horizon is computable), and the trigger moves to the
-    /// post-compaction length plus `watermark` — the same policy as
-    /// `dce_core::Engine::with_compaction`, so chaos suites exercise the
-    /// compactor the deployed engine runs.
+    /// post-compaction length plus `watermark` — the trigger every
+    /// `dce_core::Engine` shard runs (at `COMPACT_WATERMARK`), so chaos
+    /// suites exercise the compactor the deployed engine runs.
     pub fn enable_compaction(&mut self, watermark: usize) {
         let wm = watermark.max(1);
         self.compact_watermark = Some(wm);

@@ -9,9 +9,8 @@
 use crate::buffer::Buffer;
 use crate::error::{ExcludeError, IntegrateError, OtError};
 use crate::ids::{Clock, RequestId, SiteId};
-use crate::log::{canonize_last, Log, LogEntry};
+use crate::log::{canonize_last, hoist_left, Log, LogEntry};
 use crate::transform::{include, TOp};
-use crate::transpose::transpose;
 use dce_document::{ApplyError, Document, Element, Op};
 
 /// A cooperative request in broadcast form: the operation exactly as
@@ -73,13 +72,8 @@ impl<E: Element> Partition<E> {
     /// Moves `form` — a context entry in the form it holds right after the
     /// suffix — left past the whole suffix, rewriting the suffix forms, and
     /// drops it into the prefix. Returns the transpositions spent.
-    fn hoist(&mut self, mut form: TOp<E>) -> Result<u64, ExcludeError> {
-        for (_, w) in self.suffix.iter_mut().rev() {
-            let (moved, stayed) = transpose(w, &form)?;
-            *w = stayed;
-            form = moved;
-        }
-        Ok(self.suffix.len() as u64)
+    fn hoist(&mut self, form: TOp<E>) -> Result<u64, ExcludeError> {
+        hoist_left(&mut self.suffix, |(_, w)| w, form)
     }
 
     /// Appends `entries` (log order, each in the form it holds after
@@ -162,7 +156,7 @@ pub struct Engine<E> {
     pruned_count: usize,
     /// `ComputeFF`'s context partition, kept warm across receptions. A
     /// cache of the log, not state: never digested or snapshotted, dropped
-    /// by `undo` and `prune_prefix`, and absent from new engines and clones.
+    /// by `undo` and `prune_stable`, and absent from new engines and clones.
     partition: Option<Partition<E>>,
 }
 
@@ -255,20 +249,48 @@ impl<E: Element> Engine<E> {
         self.pruned_count
     }
 
-    /// Compacts the log by dropping its first `n` entries. The caller must
-    /// guarantee the dropped entries are *stable*: present in every
-    /// participant's clock (so every future request's context contains
-    /// them — their forms are never consulted again) and never undoable
-    /// (validated or definitively invalid). Inert pruned identities are
-    /// remembered so late requests depending on them still become inert.
-    pub fn prune_prefix(&mut self, n: usize) {
+    /// Compacts the log: reclaims every entry `stable` selects, wherever it
+    /// sits, and returns the reclaimed identities in log order.
+    ///
+    /// The caller must guarantee a selected entry is *stable* — in every
+    /// participant's clock and in the context of every request still on its
+    /// way here, so every future partition puts it in the prefix — and
+    /// never undoable (validated or definitively invalid). Each selected
+    /// entry is hoisted left past the kept entries before it (the
+    /// partition's own transposition), so the kept entries take their
+    /// post-prefix forms — exactly the forms every future partition would
+    /// compute for them — and is then dropped. A selected entry stays when
+    /// its dependency is a kept entry (so every ancestor of a reclaimed
+    /// entry is reclaimed too, and the dependency walks of `integrate` and
+    /// `undo` never step from a reclaimed entry back into the log), or when
+    /// a hoist fails (it depends on a kept entry; no form is touched). A
+    /// stable settled prefix is the special case that needs no
+    /// transposition at all. Inert reclaimed identities are remembered so
+    /// late requests depending on them still become inert.
+    pub fn prune_stable(&mut self, mut stable: impl FnMut(&LogEntry<E>) -> bool) -> Vec<RequestId> {
         self.partition = None;
-        for e in self.log.drain_prefix(n) {
-            if e.inert {
-                self.pruned_inert.insert(e.id);
+        let mut kept: Vec<LogEntry<E>> = Vec::new();
+        let mut kept_ids = std::collections::HashSet::new();
+        let mut pruned = Vec::new();
+        for e in self.log.take_entries() {
+            let movable = stable(&e) && !e.dep.is_some_and(|d| kept_ids.contains(&d));
+            if movable {
+                if let Ok(moves) = hoist_left(&mut kept, |k| &mut k.top, e.top.clone()) {
+                    self.metrics.partition_transposes += moves;
+                    if e.inert {
+                        self.pruned_inert.insert(e.id);
+                    }
+                    self.pruned_count += 1;
+                    pruned.push(e.id);
+                    continue;
+                }
             }
-            self.pruned_count += 1;
+            kept_ids.insert(e.id);
+            kept.push(e);
         }
+        self.log.replace_entries(kept);
+        debug_assert!(self.log.is_canonical(), "hoisting broke the canonical order");
+        pruned
     }
 
     /// Prunes cell provenance chains of links that are stable group-wide.

@@ -8,6 +8,7 @@
 //! deletion/update entry by [`transpose()`](crate::transpose::transpose),
 //! an `O(|Hdu|)` pass exactly as the paper's complexity analysis states.
 
+use crate::error::ExcludeError;
 use crate::ids::{Clock, RequestId};
 use crate::transform::TOp;
 use crate::transpose::transpose;
@@ -170,11 +171,33 @@ impl<E: Element> Log<E> {
         self.entries = entries;
     }
 
-    /// Removes and returns the first `n` entries (log compaction — see
-    /// `Engine::prune_prefix`).
-    pub fn drain_prefix(&mut self, n: usize) -> Vec<LogEntry<E>> {
-        self.entries.drain(..n.min(self.entries.len())).collect()
+    /// Removes and returns every entry, leaving the log empty (log
+    /// compaction rebuilds it — see `Engine::prune_stable`).
+    pub(crate) fn take_entries(&mut self) -> Vec<LogEntry<E>> {
+        std::mem::take(&mut self.entries)
     }
+}
+
+/// Moves `moving` — an operation in the form it holds right after `items`
+/// — left past every item, so it executes first: each item's form is
+/// rewritten to the one it takes after `moving` (`transpose`, right to
+/// left). Returns the transpositions spent. Fails, touching no form, when
+/// `moving` depends on one of the items.
+pub(crate) fn hoist_left<T, E: Element>(
+    items: &mut [T],
+    form: fn(&mut T) -> &mut TOp<E>,
+    mut moving: TOp<E>,
+) -> Result<u64, ExcludeError> {
+    let mut stayed = Vec::with_capacity(items.len());
+    for item in items.iter_mut().rev() {
+        let (moved, s) = transpose(form(item), &moving)?;
+        stayed.push(s);
+        moving = moved;
+    }
+    for (item, s) in items.iter_mut().rev().zip(stayed) {
+        *form(item) = s;
+    }
+    Ok(items.len() as u64)
 }
 
 /// `Canonize` on any sequence of forms whose last item was just appended:

@@ -3,20 +3,24 @@
 //! An engine keeps the partition of its log by the last reception's
 //! context alive and advances it — on the next reception, on local
 //! generation, after every integration — instead of rebuilding it; `undo`
-//! and `prune_prefix` must drop it. Three engines run a random
+//! and `prune_stable` must drop it. Three engines run a random
 //! interleaving of local `generate`, causally-ready remote `integrate` (or
 //! `integrate_inert`) from the two other origins, `undo` of a live entry
-//! and `prune_prefix` of the stable prefix. Before every step the acting
+//! and `prune_stable` of a random subset of the stable entries, wherever
+//! they sit in the log. Before every step the acting
 //! engine gets a cold twin, reassembled with [`Engine::from_parts`] from
 //! its state; both take the step, and the twin — which must rebuild the
 //! partition from scratch — has to land on the same outcome, document,
 //! log forms and clock. A partition advanced past a stale log (an `undo`
 //! that kept it, a prune that kept it, a local request that joined the
-//! suffix in the wrong place) fails the property.
+//! suffix in the wrong place) fails the property. Each engine also has a
+//! never-pruned shadow taking the same steps: a reclaimed entry whose
+//! effect is missing from the kept forms shows up as a document or
+//! outcome that differs from the shadow's.
 
 use dce_document::{Char, Op};
 use dce_ot::engine::{BroadcastRequest, Engine};
-use dce_ot::ids::Clock;
+use dce_ot::ids::{Clock, RequestId};
 use proptest::prelude::*;
 
 /// One scripted step: `(kind, engine, seed)`; the seed picks the op,
@@ -49,13 +53,11 @@ fn edit(e: &Engine<Char>, seed: u32) -> Op<Char> {
     }
 }
 
-/// The number of leading log entries of `e` that are stable: in every
-/// engine's clock and in the context of every request still on its way
-/// to `e`, so no future integration at `e` needs their forms.
-fn stable_prefix(e: &Engine<Char>, clocks: &[Clock], inbox: &[BroadcastRequest<Char>]) -> usize {
-    let covered =
-        |id| clocks.iter().all(|c| c.contains(id)) && inbox.iter().all(|q| q.ctx.contains(id));
-    e.log().iter().take_while(|entry| covered(entry.id)).count()
+/// Whether `id` is stable at an engine whose inbox is `inbox`: in every
+/// engine's clock and in the context of every request still on its way,
+/// so every future partition there puts it in the prefix.
+fn is_stable(id: RequestId, clocks: &[Clock], inbox: &[BroadcastRequest<Char>]) -> bool {
+    clocks.iter().all(|c| c.contains(id)) && inbox.iter().all(|q| q.ctx.contains(id))
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -72,6 +74,7 @@ proptest! {
     ) {
         let d0 = dce_document::CharDocument::from_str("abcd");
         let mut engines: Vec<Engine<Char>> = (1..=3).map(|s| Engine::new(s, d0.clone())).collect();
+        let mut shadows: Vec<Engine<Char>> = engines.iter().map(cold).collect();
         let mut inboxes: Vec<Vec<BroadcastRequest<Char>>> = vec![Vec::new(); 3];
 
         for (n, (kind, at, seed)) in script.into_iter().enumerate() {
@@ -81,7 +84,8 @@ proptest! {
                 0..=2 => {
                     let op = edit(warm, seed);
                     let q = warm.generate(op.clone()).expect("locally valid edit");
-                    prop_assert_eq!(&twin.generate(op).expect("locally valid edit"), &q);
+                    prop_assert_eq!(&twin.generate(op.clone()).expect("locally valid edit"), &q);
+                    prop_assert_eq!(&shadows[at].generate(op).expect("locally valid edit"), &q);
                     for (i, inbox) in inboxes.iter_mut().enumerate() {
                         if i != at {
                             inbox.push(q.clone());
@@ -97,9 +101,13 @@ proptest! {
                     }
                     let q = inboxes[at].remove(ready[seed as usize % ready.len()]);
                     if seed % 5 == 0 {
-                        prop_assert_eq!(warm.integrate_inert(&q), twin.integrate_inert(&q));
+                        let out = warm.integrate_inert(&q);
+                        prop_assert_eq!(&out, &twin.integrate_inert(&q));
+                        prop_assert_eq!(&out, &shadows[at].integrate_inert(&q));
                     } else {
-                        prop_assert_eq!(warm.integrate(&q), twin.integrate(&q));
+                        let out = warm.integrate(&q);
+                        prop_assert_eq!(&out, &twin.integrate(&q));
+                        prop_assert_eq!(&out, &shadows[at].integrate(&q));
                     }
                 }
                 6 => {
@@ -109,20 +117,28 @@ proptest! {
                         continue;
                     }
                     let victim = live[seed as usize % live.len()];
-                    prop_assert_eq!(warm.undo(victim), twin.undo(victim));
+                    let out = warm.undo(victim);
+                    prop_assert_eq!(&out, &twin.undo(victim));
+                    prop_assert_eq!(&out, &shadows[at].undo(victim));
                 }
                 _ => {
                     let clocks: Vec<Clock> = engines.iter().map(|e| e.clock().clone()).collect();
                     let warm = &mut engines[at];
-                    let n = stable_prefix(warm, &clocks, &inboxes[at]);
-                    warm.prune_prefix(n);
-                    twin.prune_prefix(n);
+                    // A random half of the stable entries, chosen by id so
+                    // both engines pick the same set.
+                    let pick = |id: RequestId| {
+                        is_stable(id, &clocks, &inboxes[at])
+                            && (id.seq as u32 ^ id.site.wrapping_mul(seed)).is_multiple_of(2)
+                    };
+                    let pruned = warm.prune_stable(|e| pick(e.id));
+                    prop_assert_eq!(twin.prune_stable(|e| pick(e.id)), pruned);
                 }
             }
             let warm = &engines[at];
             prop_assert_eq!(warm.document(), twin.document(), "document after step {}", n);
             prop_assert_eq!(warm.log(), twin.log(), "log forms after step {}", n);
             prop_assert_eq!(warm.clock(), twin.clock(), "clock after step {}", n);
+            prop_assert_eq!(warm.document(), shadows[at].document(), "shadow document after step {}", n);
             prop_assert!(warm.log().is_canonical());
         }
     }

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dce_core::{DocumentId, Engine, Message, Site};
+use dce_core::{DocumentId, Engine, Message, Site, COMPACT_WATERMARK};
 use dce_document::{Char, CharDocument};
 use dce_net::frame::{encode_frame, Frame, FrameDecoder};
 use dce_net::reliable::{Endpoint, ReliableConfig};
@@ -43,21 +43,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Log-length watermark: when a document's canonical log plus admin log
-/// reach this many entries, the server compacts (and, at quiescence,
-/// snapshots), bounding both resident memory and the log suffix a
-/// restart must replay.
-const COMPACT_WATERMARK: usize = 192;
-
-/// Cadence of the horizon pass (reactor-clock milliseconds): past the
-/// watermark, the server manufactures heartbeats for members whose
-/// streams hold nothing unacknowledged, then compacts. An idle member
-/// never speaks — not even heartbeats — which would pin the stability
-/// horizon at zero forever; its cumulative acks are proof of reception,
-/// so the server advances the horizon on its behalf. Driven from the
-/// timer path rather than per delivery: streams are rarely fully acked
-/// in the middle of a burst, and at quiescence there are no deliveries
-/// left to piggyback on.
+/// Cadence of the horizon pass (reactor-clock milliseconds): once a
+/// document's logs pass [`COMPACT_WATERMARK`], the server manufactures
+/// heartbeats for members whose streams hold nothing unacknowledged,
+/// feeds them to the administrator replica (which compacts on them) and
+/// relays them to the members (which compact on them too). Members never
+/// speak heartbeats — an idle one would pin the stability horizon at zero
+/// forever; cumulative acks are proof of reception, so the server
+/// advances the horizon on their behalf. Driven from the timer path
+/// rather than per delivery: streams are rarely fully acked in the
+/// middle of a burst, and at quiescence there are no deliveries left to
+/// piggyback on.
 const HORIZON_PASS_MS: u64 = 25;
 
 /// Tuning knobs for a server process.
@@ -158,6 +154,9 @@ struct Session {
     /// The session's durable store, when the server runs with a
     /// `data_dir`. The engine journals through it on every delivery.
     store: Option<Arc<EngineStore<Char>>>,
+    /// Per document, the administrator clock last relayed to the members
+    /// as a horizon: a pass relays only when it moved.
+    relayed: HashMap<DocumentId, dce_ot::ids::Clock>,
 }
 
 impl Session {
@@ -268,6 +267,7 @@ impl Server {
                 seen: HashSet::new(),
                 delivered: HashMap::new(),
                 store: None,
+                relayed: HashMap::new(),
             });
         };
 
@@ -343,6 +343,7 @@ impl Server {
             seen,
             delivered,
             store: Some(store),
+            relayed: HashMap::new(),
         })
     }
 
@@ -486,7 +487,7 @@ impl Server {
         }
         if now >= self.last_horizon.saturating_add(HORIZON_PASS_MS) {
             self.last_horizon = now;
-            self.advance_horizons();
+            self.advance_horizons(now);
         }
         self.observe_phase(&mut phase, "server.timer_ns");
 
@@ -646,6 +647,10 @@ impl Server {
                 endpoint.on_ack(user as usize, ack_epoch, ack, now);
                 let outcome = endpoint.on_data(user as usize, epoch, seq, msg);
                 for m in outcome.deliverable {
+                    if !originates(user, &m) {
+                        self.close_conn(ci, "a forged or server-only message");
+                        return;
+                    }
                     self.deliver(sid, doc, user, m, now);
                 }
                 let sess = self.sessions.get_mut(&sid).expect("session exists");
@@ -766,27 +771,37 @@ impl Server {
 
     /// The horizon pass: for every session document whose combined logs
     /// crossed the watermark, synthesize heartbeats for fully-acked
-    /// members, then compact. When a member's stream holds nothing
+    /// members into the administrator replica, then relay the stability
+    /// horizon to every member. When a member's stream holds nothing
     /// unacknowledged, everything the administrator ever processed was
     /// relayed to and received by it, so the member's replica clock
     /// dominates the administrator's — sending the administrator's clock
     /// on the member's behalf understates what it knows, and the
-    /// stability horizon is a pointwise minimum, so understating is
-    /// safe. Journaling the heartbeats through `receive` keeps replay
-    /// deterministic. With a store attached, compaction forces a
-    /// snapshot, so it additionally waits for every member to ack
-    /// everything — a snapshot must never swallow a record some member
-    /// still needs redelivered. (Memory-only sessions skip that wait:
-    /// retransmission buffers hold their own copies, so compacting the
-    /// replica's logs cannot lose in-flight traffic.)
-    fn advance_horizons(&mut self) {
+    /// stability horizon is a pointwise minimum, so understating is safe.
+    /// Journaling the heartbeats through `receive` keeps replay
+    /// deterministic, and the replica compacts inside that `receive`.
+    ///
+    /// The relay queues, on every member's stream, the administrator's
+    /// clock and the vouched clock of each *other* fully-acked member as
+    /// plain heartbeats. The stream is this server's FIFO re-origination,
+    /// so a member receives each heartbeat after all the traffic it
+    /// announces, and its own engine compacts on it (DESIGN.md §5h).
+    ///
+    /// With a store attached, a snapshot must never swallow a record some
+    /// member still needs redelivered, so the forced snapshot (an explicit
+    /// [`Engine::auto_compact`]) additionally waits for every member to
+    /// ack everything. In-memory compaction never waits: retransmission
+    /// buffers hold their own copies, and the WAL keeps every record until
+    /// a snapshot covers it.
+    fn advance_horizons(&mut self, now: u64) {
         for (&sid, sess) in self.sessions.iter_mut() {
             let docs: Vec<DocumentId> = sess.endpoints.keys().copied().collect();
             for doc in docs {
-                let logs = sess
-                    .admin
-                    .with(doc, |s| s.engine().log().len() + s.admin_log().len())
-                    .unwrap_or(0);
+                let Some((logs, pruned)) = sess.admin.with(doc, |s| {
+                    (s.engine().log().len() + s.admin_log().len(), s.engine().pruned_count())
+                }) else {
+                    continue;
+                };
                 if self.obs.enabled() {
                     let obs = self.obs.for_doc(doc.0);
                     obs.set_gauge("server.log_len", logs as u64);
@@ -800,25 +815,47 @@ impl Server {
                 let Some(clock) = sess.admin.with(doc, |s| s.engine().clock().clone()) else {
                     continue;
                 };
-                for &u in &sess.seen {
-                    let acked =
-                        sess.endpoints.get(&doc).is_some_and(|e| !e.has_unacked_to(u as usize));
-                    if !acked {
-                        continue;
-                    }
-                    let hb = Message::Heartbeat { from: u, clock: clock.clone() };
-                    if let Err(e) = sess.admin.receive(doc, hb) {
+                let mut members: Vec<u32> = sess.seen.iter().copied().collect();
+                members.sort_unstable();
+                let endpoint = sess.endpoints.get(&doc).expect("pass iterates hosted docs");
+                let vouched: Vec<u32> = members
+                    .iter()
+                    .copied()
+                    .filter(|&u| !endpoint.has_unacked_to(u as usize))
+                    .collect();
+                // One heartbeat per vouched member plus the administrator's:
+                // the first ones drive the replica here, all of them the
+                // members' horizons.
+                let beats: Vec<(u32, Arc<Message<Char>>)> = vouched
+                    .iter()
+                    .copied()
+                    .chain([0])
+                    .map(|from| (from, Arc::new(Message::Heartbeat { from, clock: clock.clone() })))
+                    .collect();
+                for (_, hb) in beats.iter().filter(|(from, _)| *from != 0) {
+                    if let Err(e) = sess.admin.receive(doc, (**hb).clone()) {
                         let reason =
                             format!("session {sid}: {doc}: synthesized heartbeat rejected: {e}");
                         eprintln!("dce-server: {reason}");
                         self.obs.failure(&reason);
                     }
                 }
-                if (sess.store.is_none() || !sess.has_unacked())
-                    && sess.admin.auto_compact(doc).unwrap_or(0) > 0
-                {
+                if sess.store.is_some() && !sess.has_unacked() {
+                    sess.admin.auto_compact(doc);
+                }
+                let now_pruned = sess.admin.with(doc, |s| s.engine().pruned_count()).unwrap_or(0);
+                if now_pruned > pruned {
                     self.obs.for_doc(doc.0).add_counter("server.compactions", 1);
                 }
+                if sess.relayed.get(&doc) == Some(&clock) {
+                    continue;
+                }
+                for &to in &members {
+                    for (_, hb) in beats.iter().filter(|(from, _)| *from != to) {
+                        Self::send_to(sess, &mut self.conns, doc, to, Arc::clone(hb), now);
+                    }
+                }
+                sess.relayed.insert(doc, clock);
             }
         }
     }
@@ -841,6 +878,19 @@ impl Server {
             Some(&ci) => push_out(conns, ci, &encode_frame(&Frame::from_packet(doc, pkt))),
             None => endpoint.pause_stream_to(user as usize),
         }
+    }
+}
+
+/// Whether a member connected as `user` may originate `msg`: a
+/// cooperative request or a proposal under its own identity, nothing
+/// else. Administrative requests come from the administrator replica
+/// hosted here and heartbeats from the horizon pass; a member that sends
+/// either, or names another user, is forging.
+fn originates(user: u32, msg: &Message<Char>) -> bool {
+    match msg {
+        Message::Coop(q) => q.user() == user,
+        Message::Proposal(p) => p.from == user,
+        Message::Admin(_) | Message::Heartbeat { .. } => false,
     }
 }
 

@@ -58,6 +58,29 @@ fn fig2_with_duplicate_deliveries() {
     assert_clean("fig2", 2, 2, 1);
 }
 
+/// Compaction racing the horizon: every destination `auto_compact`s after
+/// every delivery while a heartbeat may overtake the concurrent edit it
+/// announces. The state count is pinned: a change to it means the
+/// scenario, the compactor or the reduction changed, and the new count
+/// has to be looked at, not just accepted.
+#[test]
+fn gc_horizon_race() {
+    let scenario = Scenario::by_name("gc", 3, 2).expect("known scenario");
+    match explore(&scenario) {
+        Verdict::Ok(stats) => {
+            assert!(stats.complete, "gc: exploration should fit the default budget");
+            assert!(stats.quiescent > 0, "gc: no quiescent state reached");
+            assert_eq!(stats.states, 19_775, "gc: explored state count moved");
+        }
+        Verdict::Violation(cx) => panic!(
+            "gc: {}\nschedule: {}\npin as:\n{}",
+            cx.violation,
+            cx.schedule,
+            cx.schedule.to_rust_literal(),
+        ),
+    }
+}
+
 #[test]
 fn budget_exhaustion_is_reported_not_fatal() {
     let scenario = Scenario::by_name("fig2", 3, 2).unwrap();

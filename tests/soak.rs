@@ -1,6 +1,6 @@
 //! Long-soak bounded-memory battery: a three-engine session (admin +
 //! two users) runs a large update-heavy workload with the always-on
-//! stability-horizon compactor armed, and the test gates on the
+//! stability-horizon compactor every engine runs, and the test gates on the
 //! `dce-obs` metrics registry — canonical-log and admin-log lengths
 //! must stay below a fixed watermark multiple for the whole run — and
 //! on process RSS staying flat between the 25% and 100% checkpoints.
@@ -17,15 +17,13 @@
 //! Op count scales with `SOAK_OPS` (default 10_000; CI and manual soaks
 //! run e.g. `SOAK_OPS=1000000 cargo test --release --test soak`).
 
-use dce::core::{DocumentId, Engine, Message};
+use dce::core::{DocumentId, Engine, Message, COMPACT_WATERMARK as WM};
 use dce::document::{Char, CharDocument, Op};
 use dce::obs::ObsHandle;
 use dce::policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
 
-/// Compactor watermark: combined canonical + admin log length that arms
-/// the next compaction attempt.
-const WM: usize = 64;
-/// Every engine's logs must stay under this at every sample. The
+/// Every engine's logs must stay under this at every sample (`WM` is the
+/// engines' default compactor watermark). The
 /// trigger point is `post-compaction length + WM` and a heartbeat round
 /// is at most `HB_EVERY` ops behind, so 4×WM has headroom for the
 /// in-flight burst while still failing fast if pruning regresses.
@@ -66,7 +64,7 @@ impl Member {
     fn new(user: u32) -> Self {
         let obs = ObsHandle::metrics_only();
         let engine = if user == 0 { Engine::new_admin(0) } else { Engine::new_user(user, 0) };
-        let engine = engine.with_compaction(WM).with_observability(obs.clone());
+        let engine = engine.with_observability(obs.clone());
         Member { engine, obs, peak_log: 0, peak_admin: 0 }
     }
 
