@@ -10,14 +10,13 @@
 //!   the body only and capped at [`MAX_FRAME_LEN`] so a corrupted or
 //!   hostile length prefix cannot drive an unbounded allocation;
 //! * the body is `tag ‖ fields`, and every document-addressed frame
-//!   (`Data`, `Ack`, `Digest*`, `Status*`) starts its fields with the
-//!   `u64` document id ([`DocumentId::ROOT`] is `0`). There is one
-//!   layout per tag and no version negotiation. The [`Frame`] enum
-//!   covers the session handshake (`Hello`/`Welcome`), the reliable
-//!   layer's traffic (`Data` wraps a [`Packet`], `Ack` is the
-//!   standalone cumulative ack), and the out-of-band control queries
-//!   the load generator uses to detect quiescence (`Status*`,
-//!   `Digest*`);
+//!   (`Data`, `Ack`, `Digest*`) starts its fields with the `u64`
+//!   document id ([`DocumentId::ROOT`] is `0`). There is one layout per
+//!   tag and no version negotiation. The [`Frame`] enum covers the
+//!   session handshake (`Hello`/`Welcome`), the reliable layer's traffic
+//!   (`Data` wraps a [`Packet`], `Ack` is the standalone cumulative
+//!   ack), the digest probe that load drivers use to detect quiescence
+//!   (`Digest*`), and the telemetry scrape (`Metrics*`);
 //! * [`FrameDecoder`] is an incremental parser: feed it whatever the
 //!   socket produced, pull zero or more complete frames out. Split
 //!   frames wait for more bytes; garbage fails loudly with a
@@ -118,26 +117,6 @@ pub enum Frame<E> {
         /// the session.
         idle: bool,
     },
-    /// Control: ask the server for session liveness counters.
-    StatusRequest {
-        /// Queried session.
-        session: u32,
-        /// Queried document within the session.
-        doc: DocumentId,
-    },
-    /// Control: session liveness counters.
-    StatusReply {
-        /// Queried session.
-        session: u32,
-        /// Queried document within the session.
-        doc: DocumentId,
-        /// Currently connected collaborator sites.
-        connected: u32,
-        /// `true` while the server's endpoint holds unacked data.
-        unacked: bool,
-        /// Messages delivered to the server's admin site so far.
-        delivered: u64,
-    },
     /// Either direction: orderly departure of `user`.
     Bye {
         /// The departing user.
@@ -184,9 +163,7 @@ impl<E> Frame<E> {
             Frame::Data { doc, .. }
             | Frame::Ack { doc, .. }
             | Frame::DigestRequest { doc, .. }
-            | Frame::DigestReply { doc, .. }
-            | Frame::StatusRequest { doc, .. }
-            | Frame::StatusReply { doc, .. } => *doc,
+            | Frame::DigestReply { doc, .. } => *doc,
             Frame::Hello { .. }
             | Frame::Welcome { .. }
             | Frame::Bye { .. }
@@ -202,13 +179,11 @@ const TAG_DATA: u8 = 2;
 const TAG_ACK: u8 = 3;
 const TAG_DIGEST_REQUEST: u8 = 4;
 const TAG_DIGEST_REPLY: u8 = 5;
-const TAG_STATUS_REQUEST: u8 = 6;
-const TAG_STATUS_REPLY: u8 = 7;
 const TAG_BYE: u8 = 8;
-// Tags 9–14 are unassigned. The telemetry scrape pair is session-scoped
-// (the metrics registry is process-wide, with per-document series
-// carried as `…·docN` names inside the report), so it carries no
-// document id.
+// Tags 6, 7 and 9–14 are unassigned. The telemetry scrape pair is
+// session-scoped (the metrics registry is process-wide, with
+// per-document series carried as `…·docN` names inside the report), so
+// it carries no document id.
 const TAG_METRICS_REQUEST: u8 = 15;
 const TAG_METRICS_REPORT: u8 = 16;
 
@@ -263,19 +238,6 @@ pub fn encode_frame<E: WireElement>(frame: &Frame<E>) -> Bytes {
             body.put_u64_le(*digest);
             body.put_u8(u8::from(*idle));
         }
-        Frame::StatusRequest { session, doc } => {
-            body.put_u8(TAG_STATUS_REQUEST);
-            body.put_u64_le(doc.as_u64());
-            body.put_u32_le(*session);
-        }
-        Frame::StatusReply { session, doc, connected, unacked, delivered } => {
-            body.put_u8(TAG_STATUS_REPLY);
-            body.put_u64_le(doc.as_u64());
-            body.put_u32_le(*session);
-            body.put_u32_le(*connected);
-            body.put_u8(u8::from(*unacked));
-            body.put_u64_le(*delivered);
-        }
         Frame::Bye { user } => {
             body.put_u8(TAG_BYE);
             body.put_u32_le(*user);
@@ -324,8 +286,7 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
     let tag = get_u8(&mut buf)?;
     // Document-addressed frames carry the document id right after the tag.
     let doc = match tag {
-        TAG_DATA | TAG_ACK | TAG_DIGEST_REQUEST | TAG_DIGEST_REPLY | TAG_STATUS_REQUEST
-        | TAG_STATUS_REPLY => get_doc(&mut buf)?,
+        TAG_DATA | TAG_ACK | TAG_DIGEST_REQUEST | TAG_DIGEST_REPLY => get_doc(&mut buf)?,
         _ => DocumentId::ROOT,
     };
     let frame = match tag {
@@ -361,14 +322,6 @@ fn decode_body<E: WireElement>(mut buf: Bytes) -> Result<Frame<E>> {
             user: get_u32(&mut buf)?,
             digest: get_u64(&mut buf)?,
             idle: get_bool(&mut buf)?,
-        },
-        TAG_STATUS_REQUEST => Frame::StatusRequest { session: get_u32(&mut buf)?, doc },
-        TAG_STATUS_REPLY => Frame::StatusReply {
-            session: get_u32(&mut buf)?,
-            doc,
-            connected: get_u32(&mut buf)?,
-            unacked: get_bool(&mut buf)?,
-            delivered: get_u64(&mut buf)?,
         },
         TAG_BYE => Frame::Bye { user: get_u32(&mut buf)? },
         TAG_METRICS_REQUEST => Frame::MetricsRequest { session: get_u32(&mut buf)? },
@@ -587,14 +540,6 @@ mod tests {
                 user: 0,
                 digest: u64::MAX,
                 idle: true,
-            },
-            Frame::StatusRequest { session: 7, doc: DocumentId::ROOT },
-            Frame::StatusReply {
-                session: 7,
-                doc: DocumentId::ROOT,
-                connected: 4,
-                unacked: false,
-                delivered: 1_000,
             },
             Frame::Bye { user: 3 },
         ] {

@@ -1,5 +1,6 @@
-//! Never-panic sweep over the decoders that read outside input: the TCP
-//! frame decoder, full-replica snapshots and `dce-obs` journals.
+//! Never-panic sweep over the binary decoders that read outside input:
+//! the TCP frame decoder and full-replica snapshots. The JSON journal
+//! reader has its own sweep in `dce-trace`.
 //!
 //! Seeded truncations and bit flips of valid encodings must decode to
 //! `Ok` or `Err`, never panic. Every frame the decoder accepts must
@@ -11,7 +12,6 @@ use dce_core::{AdminProposal, DocumentId, Message};
 use dce_document::{Char, CharDocument, Op};
 use dce_net::sim::{Latency, SimNet};
 use dce_net::{decode_snapshot, encode_frame, encode_snapshot, FaultPlan, Frame, FrameDecoder};
-use dce_obs::{decode_journal, encode_journal, ObsHandle};
 use dce_policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,14 +20,14 @@ use std::sync::Arc;
 const SEED: u64 = 0x5EED_DEC0;
 /// Mutations per frame encoding.
 const FRAME_FLIPS: usize = 256;
-/// Mutations of the snapshot and of the journal.
+/// Mutations of the snapshot.
 const BLOB_FLIPS: usize = 2048;
-/// Truncation points sampled from the snapshot and the journal.
+/// Truncation points sampled from the snapshot.
 const BLOB_CUTS: usize = 512;
 
-/// A small session with admin churn, lossy delivery and a recorded
-/// journal. Site 0 is the administrator.
-fn busy_session() -> (SimNet<Char>, ObsHandle) {
+/// A small session with admin churn and lossy delivery. Site 0 is the
+/// administrator.
+fn busy_session() -> SimNet<Char> {
     let mut sim: SimNet<Char> = SimNet::group(
         3,
         CharDocument::from_str("state transfer"),
@@ -37,8 +37,6 @@ fn busy_session() -> (SimNet<Char>, ObsHandle) {
     );
     sim.set_fault_plan(FaultPlan::none().with_drops(0.2).with_duplicates(0.1));
     sim.enable_reliability();
-    let obs = ObsHandle::recording(1 << 12);
-    sim.enable_observability(obs.clone());
     sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
     sim.submit_coop(2, Op::del(3, 'a')).unwrap();
     sim.submit_admin(
@@ -57,7 +55,7 @@ fn busy_session() -> (SimNet<Char>, ObsHandle) {
     sim.submit_coop(2, Op::ins(2, 'y')).unwrap();
     sim.submit_coop(1, Op::up(2, 's', 'S')).unwrap();
     sim.run_to_quiescence();
-    (sim, obs)
+    sim
 }
 
 /// One frame of every kind; `Data` frames carry every message kind.
@@ -83,8 +81,6 @@ fn frame_pool(sim: &mut SimNet<Char>) -> Vec<Frame<Char>> {
         Frame::Ack { doc, from: 2, epoch: 1, cum: 9 },
         Frame::DigestRequest { session: 1, doc: DocumentId::ROOT },
         Frame::DigestReply { session: 1, doc, user: 0, digest: 0xD1_6E57, idle: true },
-        Frame::StatusRequest { session: 1, doc },
-        Frame::StatusReply { session: 1, doc, connected: 2, unacked: false, delivered: 40 },
         Frame::Bye { user: 2 },
         Frame::MetricsRequest { session: 1 },
         Frame::MetricsReport { session: 1, report: Arc::new(sample_report()) },
@@ -152,7 +148,7 @@ fn decode_byte_by_byte(stream: &[u8]) -> usize {
 
 #[test]
 fn mutated_frames_never_panic_and_decoded_frames_re_encode_exactly() {
-    let (mut sim, _) = busy_session();
+    let mut sim = busy_session();
     let frames = frame_pool(&mut sim);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut stream = Vec::new();
@@ -182,7 +178,7 @@ fn mutated_frames_never_panic_and_decoded_frames_re_encode_exactly() {
 
 #[test]
 fn mutated_snapshots_never_panic() {
-    let (sim, _) = busy_session();
+    let sim = busy_session();
     let snap = encode_snapshot(sim.site(0)).to_vec();
     assert!(decode_snapshot::<Char>(snap.clone().into(), 9, 0).is_ok());
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
@@ -192,22 +188,5 @@ fn mutated_snapshots_never_panic() {
     }
     for _ in 0..BLOB_FLIPS {
         let _ = decode_snapshot::<Char>(flip(&snap, &mut rng).into(), 9, 0);
-    }
-}
-
-#[test]
-fn mutated_journals_never_panic() {
-    let (_, obs) = busy_session();
-    let events = obs.events();
-    assert!(!events.is_empty());
-    let journal = encode_journal(&events).to_vec();
-    assert_eq!(decode_journal(journal.clone().into()).unwrap(), events);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 2);
-    for _ in 0..BLOB_CUTS {
-        let cut = rng.gen_range(0..journal.len());
-        assert!(decode_journal(journal[..cut].to_vec().into()).is_err());
-    }
-    for _ in 0..BLOB_FLIPS {
-        let _ = decode_journal(flip(&journal, &mut rng).into());
     }
 }

@@ -93,7 +93,7 @@ fn message_pool() -> &'static [Arc<Message<Char>>] {
     })
 }
 
-/// Maps one sampled tuple onto a frame. Kinds 8+ become `Data` frames
+/// Maps one sampled tuple onto a frame. Kinds 6–21 become `Data` frames
 /// carrying successive pool messages, so a generated sequence exercises
 /// every message kind alongside the control frames.
 fn frame_for(kind: u8, a: u32, b: u64) -> Frame<Char> {
@@ -111,15 +111,7 @@ fn frame_for(kind: u8, a: u32, b: u64) -> Frame<Char> {
         2 => Frame::Ack { doc, from: a % 5, epoch: b % 7, cum: b },
         3 => Frame::DigestRequest { session: a, doc },
         4 => Frame::DigestReply { session: a, doc, user: 0, digest: b, idle: b.is_multiple_of(2) },
-        5 => Frame::StatusRequest { session: a, doc },
-        6 => Frame::StatusReply {
-            session: a,
-            doc,
-            connected: a % 5,
-            unacked: b % 2 == 1,
-            delivered: b,
-        },
-        7 => Frame::Bye { user: a % 5 },
+        5 => Frame::Bye { user: a % 5 },
         22 => Frame::MetricsRequest { session: a },
         23 => Frame::MetricsReport { session: a, report: Arc::new(report_for(a, b)) },
         k => Frame::Data {
@@ -398,7 +390,7 @@ fn mixed_document_frames_share_one_decoder() {
 fn bad_document_ids_are_rejected_over_tcp() {
     // Ids above MAX_DOC_ID are corrupt, whatever the frame kind.
     let huge = MAX_DOC_ID + 1;
-    let mut body = vec![6u8]; // StatusRequest
+    let mut body = vec![4u8]; // DigestRequest
     body.extend_from_slice(&huge.to_le_bytes());
     body.extend_from_slice(&1u32.to_le_bytes());
     let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
@@ -406,9 +398,9 @@ fn bad_document_ids_are_rejected_over_tcp() {
     let (out, _) = round_trip_bytes(&bytes, 4);
     assert_eq!(out, vec![Err(WireError::BadDocument(huge))]);
 
-    // Tags 9–14 are unassigned: a well-formed Ack body behind any of
-    // them is an unknown tag.
-    for tag in 9u8..=14 {
+    // Tags 6, 7 and 9–14 are unassigned: a well-formed Ack body behind
+    // any of them is an unknown tag.
+    for tag in [6u8, 7].into_iter().chain(9..=14) {
         let mut body = vec![tag];
         body.extend_from_slice(&5u64.to_le_bytes());
         body.extend_from_slice(&7u32.to_le_bytes());

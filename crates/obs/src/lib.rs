@@ -18,12 +18,12 @@
 //! * [`metrics`] — counters, gauges and log-scale histograms with a
 //!   [`MetricsReport`] snapshot (serialized by hand — no JSON dependency
 //!   is available offline);
-//! * [`codec`] — a binary journal format in the style of the network
-//!   wire codec, so captured traces survive a file round-trip;
 //! * [`oracle`] — trace invariants ([`assert_trace!`]) the integration
-//!   tests assert against, not just final state;
-//! * [`timeline`] — a per-request causal timeline renderer (the
-//!   `dce-obs` bin's output).
+//!   tests assert against, not just final state.
+//!
+//! Journals reach disk in one format only: `dce-trace`'s JSON journal
+//! (`dce_trace::json`), which flight dumps embed and the `dce-trace`
+//! bin reads and writes.
 //!
 //! Instrumentation contract: with the handle disabled (the default),
 //! every emission is a single branch on an empty `Option` — no
@@ -35,15 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod event;
 pub mod handle;
 pub mod metrics;
 pub mod oracle;
 pub mod record;
-pub mod timeline;
 
-pub use codec::{decode_event, decode_journal, encode_event, encode_journal, CodecError};
 pub use event::{DeferReason, DocId, Event, EventKind, ReqId, SiteId};
 pub use handle::{FailureHook, ObsHandle};
 pub use metrics::{
@@ -51,4 +48,3 @@ pub use metrics::{
 };
 pub use oracle::{summarize, TraceSummary, TraceViolation};
 pub use record::{NoopRecorder, Recorder, RingRecorder};
-pub use timeline::timeline_for;

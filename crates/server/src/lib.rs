@@ -149,8 +149,6 @@ struct Session {
     /// Every user that has connected at least once: disconnected members
     /// keep accumulating traffic on a paused stream until they return.
     seen: HashSet<u32>,
-    /// Messages delivered to each document's administrator replica.
-    delivered: HashMap<DocumentId, u64>,
     /// The session's durable store, when the server runs with a
     /// `data_dir`. The engine journals through it on every delivery.
     store: Option<Arc<EngineStore<Char>>>,
@@ -265,7 +263,6 @@ impl Server {
                 endpoints,
                 conn_of: HashMap::new(),
                 seen: HashSet::new(),
-                delivered: HashMap::new(),
                 store: None,
                 relayed: HashMap::new(),
             });
@@ -293,7 +290,6 @@ impl Server {
         let admin =
             Engine::new_admin(0).with_observability(self.obs.clone()).with_store(store.clone());
         let mut recovered = false;
-        let mut delivered = HashMap::new();
         for d in 0..docs {
             let doc = DocumentId::new(d);
             let rec = store
@@ -302,7 +298,6 @@ impl Server {
                 })
                 .map_err(|e| oops(format!("session {sid}: recover {doc}: {e}")))?;
             recovered |= !rec.fresh;
-            delivered.insert(doc, rec.records_total);
             admin
                 .adopt_site(doc, rec.site)
                 .map_err(|e| oops(format!("session {sid}: adopt {doc}: {e}")))?;
@@ -341,7 +336,6 @@ impl Server {
             endpoints,
             conn_of: HashMap::new(),
             seen,
-            delivered,
             store: Some(store),
             relayed: HashMap::new(),
         })
@@ -687,28 +681,9 @@ impl Server {
                 };
                 push_out(&mut self.conns, ci, &encode_frame(&reply));
             }
-            Frame::StatusRequest { session, doc } => {
-                let reply = match self.sessions.get(&session) {
-                    Some(sess) => Frame::<Char>::StatusReply {
-                        session,
-                        doc,
-                        connected: sess.conn_of.len() as u32,
-                        unacked: sess.has_unacked(),
-                        delivered: sess.delivered.get(&doc).copied().unwrap_or(0),
-                    },
-                    None => Frame::StatusReply {
-                        session,
-                        doc,
-                        connected: 0,
-                        unacked: false,
-                        delivered: 0,
-                    },
-                };
-                push_out(&mut self.conns, ci, &encode_frame(&reply));
-            }
             Frame::MetricsRequest { session } => {
-                // Answered without a Hello, like digest and status
-                // probes: monitors should not need an editor identity.
+                // Answered without a Hello, like digest probes:
+                // monitors should not need an editor identity.
                 let reply =
                     Frame::<Char>::MetricsReport { session, report: Arc::new(self.obs.snapshot()) };
                 push_out(&mut self.conns, ci, &encode_frame(&reply));
@@ -716,10 +691,7 @@ impl Server {
             Frame::Bye { .. } => {
                 self.close_conn(ci, "bye");
             }
-            Frame::Welcome { .. }
-            | Frame::DigestReply { .. }
-            | Frame::StatusReply { .. }
-            | Frame::MetricsReport { .. } => {
+            Frame::Welcome { .. } | Frame::DigestReply { .. } | Frame::MetricsReport { .. } => {
                 self.close_conn(ci, "client sent a server-only frame");
             }
         }
@@ -749,7 +721,6 @@ impl Server {
             self.obs.failure(&reason);
             return;
         }
-        *sess.delivered.entry(doc).or_insert(0) += 1;
         self.obs.for_doc(doc.0).add_counter("server.delivered", 1);
         let members: Vec<u32> = {
             let mut m: Vec<u32> = sess.seen.iter().copied().collect();

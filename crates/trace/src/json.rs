@@ -65,11 +65,17 @@ impl Value {
     }
 }
 
-/// Parses one JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts. Journals, flight
+/// dumps and `BENCHMARK.json` nest fewer than 6 levels; the cap keeps a
+/// hostile file from overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document (trailing whitespace allowed). Nesting
+/// deeper than 64 arrays/objects is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -93,10 +99,14 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -109,7 +119,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -131,7 +141,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -330,19 +340,22 @@ pub fn events_from_json(input: &str) -> Result<Vec<Event>, String> {
     items.iter().map(event_from_value).collect()
 }
 
-/// Decodes one event object (shared with the flight-dump reader).
+/// Decodes one event object (shared with the flight-dump reader). Site
+/// and user fields are `u32`: a larger value is an error, not truncated.
 pub fn event_from_value(v: &Value) -> Result<Event, String> {
     let field = |k: &str| -> Result<u64, String> {
         v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("missing field {k:?}"))
     };
-    let req = || -> Result<ReqId, String> {
-        Ok(ReqId::new(field("req_site")? as u32, field("req_seq")?))
+    let field32 = |k: &str| -> Result<u32, String> {
+        u32::try_from(field(k)?).map_err(|_| format!("field {k:?} exceeds u32"))
     };
+    let req =
+        || -> Result<ReqId, String> { Ok(ReqId::new(field32("req_site")?, field("req_seq")?)) };
     let wait = || -> Result<DeferReason, String> {
         match v.get("wait").and_then(Value::as_str) {
             Some("version") => Ok(DeferReason::MissingVersion(field("wait_version")?)),
             Some("request") => Ok(DeferReason::MissingRequest(ReqId::new(
-                field("wait_site")? as u32,
+                field32("wait_site")?,
                 field("wait_seq")?,
             ))),
             other => Err(format!("bad wait discriminant {other:?}")),
@@ -359,7 +372,7 @@ pub fn event_from_value(v: &Value) -> Result<Event, String> {
         "req_denied" => EventKind::ReqDenied { id: req()? },
         "req_undone" => EventKind::ReqUndone { id: req()? },
         "req_stable" => EventKind::ReqStable { id: req()? },
-        "check_local_denied" => EventKind::CheckLocalDenied { user: field("user")? as u32 },
+        "check_local_denied" => EventKind::CheckLocalDenied { user: field32("user")? },
         "admin_received" => EventKind::AdminReceived { version: field("admin_version")? },
         "admin_deferred" => {
             EventKind::AdminDeferred { version: field("admin_version")?, reason: wait()? }
@@ -375,24 +388,22 @@ pub fn event_from_value(v: &Value) -> Result<Event, String> {
             EventKind::ValidationConsumed { id: req()?, version: field("admin_version")? }
         }
         "stream_retransmit" => EventKind::StreamRetransmit {
-            src: field("src")? as u32,
-            dest: field("dest")? as u32,
+            src: field32("src")?,
+            dest: field32("dest")?,
             stream_seq: field("stream_seq")?,
             req: if v.get("req_site").is_some() { Some(req()?) } else { None },
         },
-        "leg_dropped" => {
-            EventKind::LegDropped { src: field("src")? as u32, dest: field("dest")? as u32 }
-        }
+        "leg_dropped" => EventKind::LegDropped { src: field32("src")?, dest: field32("dest")? },
         "leg_duplicated" => {
-            EventKind::LegDuplicated { src: field("src")? as u32, dest: field("dest")? as u32 }
+            EventKind::LegDuplicated { src: field32("src")?, dest: field32("dest")? }
         }
         "partition_healed" => EventKind::PartitionHealed { at_ms: field("at_ms")? },
-        "site_crashed" => EventKind::SiteCrashed { site: field("t_site")? as u32 },
-        "site_rejoined" => EventKind::SiteRejoined { site: field("t_site")? as u32 },
+        "site_crashed" => EventKind::SiteCrashed { site: field32("t_site")? },
+        "site_rejoined" => EventKind::SiteRejoined { site: field32("t_site")? },
         other => return Err(format!("unknown event kind {other:?}")),
     };
     Ok(Event {
-        site: field("site")? as u32,
+        site: field32("site")?,
         doc: v.get("doc").and_then(Value::as_u64).unwrap_or(0),
         seq: field("seq")?,
         version: field("version")?,
@@ -494,6 +505,55 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(events_from_json("{\"not\": \"an array\"}").is_err());
         assert!(events_from_json("[{\"kind\": \"nonsense\"}]").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        // Far past any thread's stack: without the cap the recursive
+        // parser aborts the process here.
+        for input in ["[".repeat(100_000), nested("[", "]", 100_000), "{\"a\": ".repeat(100_000)] {
+            assert!(parse(&input).unwrap_err().contains("nesting"));
+            assert!(events_from_json(&input).is_err());
+        }
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\": ", "}", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(parse(&nested("{\"a\": ", "}", MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn out_of_range_32_bit_fields_are_rejected_not_truncated() {
+        // Each 32-bit field in turn is set to 2^32, which `as u32` would
+        // have read back as 0.
+        let cases = [
+            (EventKind::ReqGenerated { id: rid(1, 1) }, "site"),
+            (EventKind::ReqGenerated { id: rid(1, 1) }, "req_site"),
+            (
+                EventKind::ReqDeferred {
+                    id: rid(1, 2),
+                    reason: DeferReason::MissingRequest(rid(2, 1)),
+                },
+                "wait_site",
+            ),
+            (EventKind::CheckLocalDenied { user: 3 }, "user"),
+            (EventKind::LegDropped { src: 4, dest: 5 }, "src"),
+            (EventKind::LegDuplicated { src: 4, dest: 5 }, "dest"),
+            (EventKind::StreamRetransmit { src: 4, dest: 5, stream_seq: 9, req: None }, "dest"),
+            (EventKind::SiteCrashed { site: 6 }, "t_site"),
+            (EventKind::SiteRejoined { site: 6 }, "t_site"),
+        ];
+        let too_big = u64::from(u32::MAX) + 1;
+        for (kind, key) in cases {
+            let ev = Event { site: 7, doc: 0, seq: 1, version: 0, lamport: 1, at: 0, kind };
+            let json = events_to_json(&[ev]);
+            let old = parse(&json).unwrap().as_arr().unwrap()[0].get(key).unwrap().clone();
+            let old = format!("\"{key}\": {}", old.as_u64().unwrap());
+            assert!(json.contains(&old), "{json} lacks {old}");
+            let json = json.replacen(&old, &format!("\"{key}\": {too_big}"), 1);
+            let err = events_from_json(&json).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   reports divergence, so failed chaos runs leave replayable
 //!   evidence behind;
 //! * [`render`] draws span trees and per-site swimlanes as text or
-//!   SVG; [`json`] is the hand-rolled serialization layer under the
-//!   dumps (no JSON dependency is available offline).
+//!   SVG; [`json`] is the journal's one on-disk format, written and read
+//!   by hand (no JSON dependency is available offline) for the dumps and
+//!   the `dce-trace` bin's `--save`/`--events`.
 //!
 //! Like `dce-obs`, this crate depends on nothing above it in the
 //! stack — it consumes `Event`s and can therefore post-mortem any

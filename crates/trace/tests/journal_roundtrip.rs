@@ -1,11 +1,10 @@
-//! Journal codec round-trip property: every event kind, with arbitrary
-//! coordinates, survives serialize → deserialize bit-for-bit — the same
-//! pattern as the network `Message` wire-codec proptest.
+//! JSON journal round-trip property: every event kind, with arbitrary
+//! coordinates, survives `events_to_json` → `events_from_json`
+//! bit-for-bit — the same pattern as the network `Message` wire-codec
+//! proptest.
 
-use dce_obs::{
-    decode_event, decode_journal, encode_event, encode_journal, DeferReason, Event, EventKind,
-    ReqId,
-};
+use dce_obs::{DeferReason, Event, EventKind, ReqId};
+use dce_trace::json::{events_from_json, events_to_json};
 use proptest::prelude::*;
 
 fn arb_req_id() -> impl Strategy<Value = ReqId> {
@@ -79,25 +78,16 @@ fn arb_event() -> impl Strategy<Value = Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Single events round-trip through the bare (headerless) codec.
+    /// Single events round-trip.
     #[test]
     fn event_round_trip(ev in arb_event()) {
-        let mut out = bytes::BytesMut::new();
-        encode_event(&ev, &mut out);
-        let mut buf = out.freeze();
-        prop_assert_eq!(decode_event(&mut buf).unwrap(), ev);
-        prop_assert!(buf.is_empty(), "trailing bytes after decode");
+        let journal = vec![ev];
+        prop_assert_eq!(events_from_json(&events_to_json(&journal)).unwrap(), journal);
     }
 
-    /// Whole journals (header + count + events) round-trip.
+    /// Whole journals round-trip, the empty one included.
     #[test]
-    fn journal_round_trip(
-        a in arb_event(),
-        b in arb_event(),
-        c in arb_event(),
-        d in arb_event(),
-    ) {
-        let journal = vec![a, b, c, d];
-        prop_assert_eq!(decode_journal(encode_journal(&journal)).unwrap(), journal);
+    fn journal_round_trip(journal in proptest::collection::vec(arb_event(), 0..8)) {
+        prop_assert_eq!(events_from_json(&events_to_json(&journal)).unwrap(), journal);
     }
 }

@@ -3,14 +3,15 @@
 //!
 //! With no arguments the bin records a fresh run of the paper's Fig. 2
 //! revocation race and renders its span tree. Captured evidence can be
-//! loaded instead — binary journals (repeatable, one per site), a JSON
-//! event export, or a flight-recorder dump:
+//! loaded instead — JSON journals (repeatable, one per site) or a
+//! flight-recorder dump — and whatever was loaded or replayed can be
+//! saved as one JSON journal:
 //!
 //! ```text
 //! dce-trace                                  # replay Fig. 2, span tree
 //! dce-trace --swimlane                       # also the per-site swimlane
-//! dce-trace --journal s1.journal --journal s2.journal
-//! dce-trace --events fig2.json               # dce-obs --json export
+//! dce-trace --save fig2.json                 # also write the journal
+//! dce-trace --events s1.json --events s2.json
 //! dce-trace --flight results/flight-42.json  # post-mortem a failed run
 //! dce-trace --req 1#1                        # only one request's span
 //! dce-trace --svg trace.svg                  # write an SVG swimlane
@@ -18,7 +19,7 @@
 
 use dce::core::{Message, Site};
 use dce::document::{Char, CharDocument, Op};
-use dce::obs::{decode_journal, Event, ObsHandle, ReqId};
+use dce::obs::{Event, ObsHandle, ReqId};
 use dce::policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
 use dce::trace::{build_spans, json, merge_journals, read_flight, render, SpanReport};
 use std::path::Path;
@@ -29,8 +30,10 @@ fn parse_req(arg: &str) -> Option<ReqId> {
     Some(ReqId::new(site.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Replays the Fig. 2 revocation race (same schedule as the `dce-obs`
-/// bin) and returns the journal.
+/// Replays the Fig. 2 revocation race with the journal recording and
+/// returns the captured events: the admin revokes user 1's insertion
+/// right concurrently with user 1 inserting, and every delivery order
+/// still converges by retroactive undo.
 fn replay_fig2() -> Vec<Event> {
     let obs = ObsHandle::recording(4096);
     let d0 = CharDocument::from_str("abc");
@@ -62,12 +65,12 @@ fn replay_fig2() -> Vec<Event> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dce-trace [--journal FILE]... [--events FILE] [--flight FILE]\n\
+        "usage: dce-trace [--events FILE]... [--flight FILE] [--save FILE]\n\
          \x20                [--req SITE#SEQ] [--swimlane] [--svg FILE]\n\
          \n\
-         --journal FILE   merge a binary journal (repeat for per-site captures)\n\
-         --events FILE    merge a JSON event export (dce-obs --json)\n\
+         --events FILE    merge a JSON journal (repeat for per-site captures)\n\
          --flight FILE    post-mortem a flight-recorder dump\n\
+         --save FILE      write the merged journal as JSON (readable by --events)\n\
          --req SITE#SEQ   render only this request's span\n\
          --swimlane       also print the per-site swimlane\n\
          --svg FILE       write the merged trace as an SVG swimlane\n\
@@ -78,22 +81,18 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut journal_paths: Vec<String> = Vec::new();
-    let mut events_path: Option<String> = None;
+    let mut events_paths: Vec<String> = Vec::new();
     let mut flight_path: Option<String> = None;
     let mut req: Option<ReqId> = None;
     let mut want_swimlane = false;
     let mut svg_path: Option<String> = None;
+    let mut save_path: Option<String> = None;
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--journal" => match argv.next() {
-                Some(p) => journal_paths.push(p),
-                None => return usage(),
-            },
             "--events" => match argv.next() {
-                Some(p) => events_path = Some(p),
+                Some(p) => events_paths.push(p),
                 None => return usage(),
             },
             "--flight" => match argv.next() {
@@ -109,29 +108,17 @@ fn main() -> ExitCode {
                 Some(p) => svg_path = Some(p),
                 None => return usage(),
             },
+            "--save" => match argv.next() {
+                Some(p) => save_path = Some(p),
+                None => return usage(),
+            },
             _ => return usage(),
         }
     }
 
     // Gather journals from whichever sources were named.
     let mut journals: Vec<Vec<Event>> = Vec::new();
-    for path in &journal_paths {
-        let raw = match std::fs::read(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("dce-trace: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match decode_journal(bytes::Bytes::from(raw)) {
-            Ok(events) => journals.push(events),
-            Err(e) => {
-                eprintln!("dce-trace: {path} is not a journal: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &events_path {
+    for path in &events_paths {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => {
@@ -164,6 +151,13 @@ fn main() -> ExitCode {
     }
 
     let trace = merge_journals(&journals);
+    if let Some(path) = &save_path {
+        if let Err(e) = std::fs::write(path, json::events_to_json(&trace.events)) {
+            eprintln!("dce-trace: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("saved {} events to {path}\n", trace.events.len());
+    }
     println!("{}", trace.summary());
     for w in &trace.warnings {
         println!("warning: {w}");

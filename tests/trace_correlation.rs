@@ -258,3 +258,44 @@ fn injected_divergence_leaves_a_replayable_flight_dump() {
     assert!(!trace.events.is_empty());
     let _ = std::fs::remove_file(&path);
 }
+
+/// The `dce-trace` bin's one journal format round-trips through its own
+/// flags: the Fig. 2 replay written with `--save` and read back with
+/// `--events` — whole, or split into one file per site — prints the same
+/// summary line and span tree as the plain replay.
+#[test]
+fn dce_trace_save_then_events_reproduces_the_replay() {
+    let dir = std::env::temp_dir().join(format!("dce-trace-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[String]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dce-trace"))
+            .args(args)
+            .output()
+            .expect("dce-trace runs");
+        assert!(
+            out.status.success(),
+            "dce-trace {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let plain = run(&[]);
+    assert!(plain.contains("1#1 · origin site 1"), "{plain}");
+
+    let saved = dir.join("fig2.json").display().to_string();
+    assert!(run(&["--save".into(), saved.clone()]).ends_with(&plain));
+    assert_eq!(run(&["--events".into(), saved.clone()]), plain);
+
+    let events = dce::trace::json::events_from_json(&std::fs::read_to_string(&saved).unwrap())
+        .expect("the saved journal parses");
+    let mut per_site = Vec::new();
+    for site in merge_events(&events).sites() {
+        let path = dir.join(format!("site-{site}.json")).display().to_string();
+        let mine: Vec<_> = events.iter().filter(|ev| ev.site == site).copied().collect();
+        std::fs::write(&path, dce::trace::json::events_to_json(&mine)).unwrap();
+        per_site.extend(["--events".to_string(), path]);
+    }
+    assert!(per_site.len() >= 6, "Fig. 2 involves three sites");
+    assert_eq!(run(&per_site), plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
