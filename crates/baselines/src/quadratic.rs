@@ -75,11 +75,6 @@ impl<E: Element> QuadraticSite<E> {
         self.buf.visible()
     }
 
-    /// History length.
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
     /// Local generation (same wire format as the main engine).
     pub fn generate(&mut self, op: Op<E>) -> BroadcastRequest<E> {
         let internal = self.to_internal(&op).expect("valid local op");

@@ -35,8 +35,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Combined (canonical + admin) log length that arms the always-on
-/// stability-horizon compactor of every [`Engine`] shard. See
-/// [`Engine::receive`] for when it fires.
+/// stability-horizon compactor of every [`Engine`] shard
+/// ([`Site::maybe_compact`], run after every protocol mutation).
 pub const COMPACT_WATERMARK: usize = 192;
 
 /// Journal hooks a durable store implements to ride along the engine's
@@ -84,13 +84,6 @@ pub trait ShardStore<E: Element>: Send + Sync {
 struct Shard<E: Element> {
     site: Mutex<Site<E>>,
     policy: PolicyCell,
-    /// Combined (canonical + admin) log length at which the always-on
-    /// compactor fires next. Only read/written under the site lock; the
-    /// atomic is for `Sync`, not for lock-free access. Trigger state is
-    /// deliberately *not* part of replica state: every compaction that
-    /// actually runs is journaled, so recovery replays the decisions, not
-    /// the heuristic that made them.
-    compact_at: std::sync::atomic::AtomicUsize,
 }
 
 type RouteMap<E> = HashMap<DocumentId, Arc<Shard<E>>>;
@@ -210,20 +203,7 @@ impl<E: Element> Engine<E> {
         site.set_document(doc);
         site.set_observability(self.obs.for_doc(doc.as_u64()));
         let policy = PolicyCell::from_shared(site.policy_snapshot());
-        let compact_at = std::sync::atomic::AtomicUsize::new(COMPACT_WATERMARK);
-        Arc::new(Shard { site: Mutex::new(site), policy, compact_at })
-    }
-
-    /// Drops a document shard; returns whether it existed.
-    pub fn remove_document(&self, doc: DocumentId) -> bool {
-        let mut slot = self.route.write().expect("engine route poisoned");
-        if !slot.contains_key(&doc) {
-            return false;
-        }
-        let mut next = RouteMap::clone(&slot);
-        next.remove(&doc);
-        *slot = Arc::new(next);
-        true
+        Arc::new(Shard { site: Mutex::new(site), policy })
     }
 
     // ------------------------------------------------------------------
@@ -262,17 +242,9 @@ impl<E: Element> Engine<E> {
     /// refreshes the shard's policy snapshot if the mutation swapped it.
     /// `None` when the document is not hosted.
     pub fn with<R>(&self, doc: DocumentId, f: impl FnOnce(&mut Site<E>) -> R) -> Option<R> {
-        self.with_shard(doc, |_, site| f(site))
-    }
-
-    fn with_shard<R>(
-        &self,
-        doc: DocumentId,
-        f: impl FnOnce(&Shard<E>, &mut Site<E>) -> R,
-    ) -> Option<R> {
         let shard = self.shard(doc)?;
         let mut site = shard.site.lock().expect("shard poisoned");
-        let out = f(&shard, &mut site);
+        let out = f(&mut site);
         let now = site.policy_snapshot();
         if !Arc::ptr_eq(&now, &shard.policy.load()) {
             shard.policy.store(now);
@@ -280,50 +252,40 @@ impl<E: Element> Engine<E> {
         Some(out)
     }
 
-    /// The always-on stability-horizon compactor, run under the shard lock
-    /// after every protocol mutation (generate / admin_generate / receive).
-    /// It runs [`Site::auto_compact`] when a horizon is computable at all
-    /// ([`Site::horizon_ready`]) and either
-    ///
-    /// * the combined (canonical + admin) log length reached the shard's
-    ///   trigger point — [`COMPACT_WATERMARK`] at first, then the
-    ///   post-compaction length plus [`COMPACT_WATERMARK`]: when the
-    ///   horizon advances normally the logs oscillate around the
-    ///   watermark, and when a silent member pins it the logs grow as they
-    ///   must, but each further attempt (and WAL `Compact` record) costs a
-    ///   watermark of new entries; or
-    /// * `heartbeat` — the mutation delivered a heartbeat, which is what
-    ///   moves the horizon — and the logs are past the watermark.
-    ///
-    /// Each attempt journals `Compact` when a store is attached, so replay
-    /// prunes at the same point; it never forces a snapshot (see
-    /// [`Engine::auto_compact`]).
-    fn maybe_compact(
+    /// Runs `compact` on `doc`'s site and, when it ran, records it: the
+    /// `engine.compact_*` histograms and, with a store attached, the
+    /// journaled `Compact` point replay prunes at. `None` when `compact`
+    /// declined (the watermark trigger did not fire).
+    fn compact_with(
         &self,
         doc: DocumentId,
-        shard: &Shard<E>,
         site: &mut Site<E>,
-        heartbeat: bool,
-    ) {
-        use std::sync::atomic::Ordering;
-        use std::time::Instant;
-        let combined = site.engine().log().len() + site.admin_log().len();
-        let due = combined >= shard.compact_at.load(Ordering::Relaxed)
-            || (heartbeat && combined >= COMPACT_WATERMARK);
-        if !due || !site.horizon_ready() {
-            return;
-        }
-        let t = Instant::now();
-        site.auto_compact();
-        let after = site.engine().log().len() + site.admin_log().len();
-        shard.compact_at.store(after + COMPACT_WATERMARK, Ordering::Relaxed);
+        compact: impl FnOnce(&mut Site<E>) -> Option<usize>,
+    ) -> Option<usize> {
+        let before = site.logs_len();
+        let t = std::time::Instant::now();
+        let reclaimed = compact(site)?;
         let obs = self.obs.for_doc(doc.0);
-        obs.add_counter("engine.auto_compactions", 1);
         obs.observe_hist("engine.compact_ns", t.elapsed().as_nanos() as u64);
-        obs.observe_hist("engine.compact_log_before", combined as u64);
-        obs.observe_hist("engine.compact_log_after", after as u64);
+        obs.observe_hist("engine.compact_log_before", before as u64);
+        obs.observe_hist("engine.compact_log_after", site.logs_len() as u64);
         if let Some(store) = &self.store {
             store.journal_compact(doc);
+        }
+        Some(reclaimed)
+    }
+
+    /// The always-on compactor, run under the shard lock after every
+    /// protocol mutation: [`Site::maybe_compact`] at [`COMPACT_WATERMARK`],
+    /// `heartbeat` when the mutation delivered one. Each attempt is
+    /// journaled when a store is attached, so replay prunes at the same
+    /// point; it never forces a snapshot (see [`Engine::auto_compact`]).
+    fn maybe_compact(&self, doc: DocumentId, site: &mut Site<E>, heartbeat: bool) {
+        if self
+            .compact_with(doc, site, |site| site.maybe_compact(COMPACT_WATERMARK, heartbeat))
+            .is_some()
+        {
+            self.obs.for_doc(doc.0).add_counter("engine.auto_compactions", 1);
         }
     }
 
@@ -344,13 +306,13 @@ impl<E: Element> Engine<E> {
     /// Generates a cooperative operation in `doc`, journaling it (input
     /// op + produced identity) when a store is attached.
     pub fn generate(&self, doc: DocumentId, op: Op<E>) -> Result<Message<E>, CoreError> {
-        self.with_shard(doc, |shard, site| {
+        self.with(doc, |site| {
             let input = self.store.as_ref().map(|_| op.clone());
             let q = site.generate(op)?;
             if let Some(store) = &self.store {
                 store.journal_local_coop(doc, &input.expect("cloned with store"), &q);
             }
-            self.maybe_compact(doc, shard, site, false);
+            self.maybe_compact(doc, site, false);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -362,12 +324,12 @@ impl<E: Element> Engine<E> {
     /// Issues an administrative operation in `doc` (administrator only),
     /// journaling it when a store is attached.
     pub fn admin_generate(&self, doc: DocumentId, op: AdminOp) -> Result<AdminRequest, CoreError> {
-        self.with_shard(doc, |shard, site| {
+        self.with(doc, |site| {
             let r = site.admin_generate(op)?;
             if let Some(store) = &self.store {
                 store.journal_local_admin(doc, &r);
             }
-            self.maybe_compact(doc, shard, site, false);
+            self.maybe_compact(doc, site, false);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -384,13 +346,13 @@ impl<E: Element> Engine<E> {
     /// (see `maybe_compact`): members compact on the heartbeats a server
     /// relays, without opting in.
     pub fn receive(&self, doc: DocumentId, msg: Message<E>) -> Result<(), CoreError> {
-        self.with_shard(doc, |shard, site| {
+        self.with(doc, |site| {
             if let Some(store) = &self.store {
                 store.journal_remote(doc, &msg);
             }
             let heartbeat = matches!(msg, Message::Heartbeat { .. });
             let out = site.receive(msg);
-            self.maybe_compact(doc, shard, site, heartbeat);
+            self.maybe_compact(doc, site, heartbeat);
             if let Some(store) = &self.store {
                 store.snapshot(doc, site, false);
             }
@@ -406,24 +368,14 @@ impl<E: Element> Engine<E> {
     /// member still needs redelivered. Returns the number of log entries
     /// reclaimed, `None` when `doc` is not hosted.
     pub fn auto_compact(&self, doc: DocumentId) -> Option<usize> {
-        use std::time::Instant;
         self.with(doc, |site| {
-            let before = site.engine().log().len() + site.admin_log().len();
-            let t = Instant::now();
-            let reclaimed = site.auto_compact();
-            if reclaimed > 0 {
-                let after = site.engine().log().len() + site.admin_log().len();
-                let obs = self.obs.for_doc(doc.0);
-                obs.observe_hist("engine.compact_ns", t.elapsed().as_nanos() as u64);
-                obs.observe_hist("engine.compact_log_before", before as u64);
-                obs.observe_hist("engine.compact_log_after", after as u64);
-            }
+            let reclaimed = self.compact_with(doc, site, |site| Some(site.auto_compact()));
             if let Some(store) = &self.store {
-                store.journal_compact(doc);
                 store.snapshot(doc, site, true);
             }
             reclaimed
         })
+        .flatten()
     }
 
     /// Drains `doc`'s outbox (empty when the document is not hosted).
@@ -441,14 +393,6 @@ impl<E: Element + std::hash::Hash> Engine<E> {
     /// `doc`'s convergence digest, `None` when not hosted.
     pub fn replica_digest(&self, doc: DocumentId) -> Option<u64> {
         self.with(doc, |site| site.replica_digest())
-    }
-
-    /// Every shard's `(document, replica digest)`, ascending document id.
-    pub fn replica_digests(&self) -> Vec<(DocumentId, u64)> {
-        self.docs()
-            .into_iter()
-            .filter_map(|doc| self.replica_digest(doc).map(|d| (doc, d)))
-            .collect()
     }
 }
 

@@ -3,7 +3,8 @@
 //! "As the length of local (administrative and cooperative) logs increases
 //! rapidly during collaboration sessions, we plan to address the garbage
 //! collection problem." The natural solution for the cooperative log `H`
-//! ([`crate::Site::compact_stable`]): an entry can be reclaimed, wherever it
+//! (`Site::compact_stable`, reached only through the gated
+//! [`crate::Site::auto_compact`]): an entry can be reclaimed, wherever it
 //! sits in the log, once it is
 //!
 //! * *acknowledged everywhere*: contained in every participant's causal
@@ -14,8 +15,7 @@
 //!
 //! The group-wide acknowledgement clock (the pointwise minimum of all
 //! sites' clocks) is computed from heartbeat clocks
-//! ([`crate::Site::auto_compact`]) or by the session layer; this module
-//! only computes the minimum.
+//! ([`crate::Site::auto_compact`]); this module only computes the minimum.
 
 use dce_ot::ids::Clock;
 

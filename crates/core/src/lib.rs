@@ -59,4 +59,4 @@ pub use error::CoreError;
 pub use reference::ScanSite;
 pub use request::{AdminProposal, CoopRequest, Flag, Message};
 pub use shard::{DocumentId, FlagTable};
-pub use site::{Checkpoint, Site};
+pub use site::Site;

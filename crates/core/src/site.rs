@@ -54,10 +54,17 @@ pub struct Site<E> {
     rejected_proposals: Vec<AdminProposal>,
     /// Last heartbeat clock received per peer (GC stability tracking).
     peer_clocks: HashMap<UserId, Clock>,
+    /// Combined (canonical + admin) log length at which
+    /// [`Site::maybe_compact`] fires next; `0` until the first attempt,
+    /// meaning "at the watermark". Trigger state, not replicated state:
+    /// excluded from [`Site::digest_into`] and snapshots; a durable engine
+    /// journals every compaction that actually runs, so recovery replays
+    /// the decisions, not the heuristic that made them.
+    compact_at: usize,
     /// Observability capability (disabled by default). Deliberately *not*
-    /// part of replicated state: excluded from [`Site::digest_into`],
-    /// snapshots and checkpoints, so instrumentation never perturbs
-    /// `dce-check`'s state-space dedupe.
+    /// part of replicated state: excluded from [`Site::digest_into`] and
+    /// snapshots, so instrumentation never perturbs `dce-check`'s
+    /// state-space dedupe.
     obs: ObsHandle,
 }
 
@@ -72,20 +79,6 @@ fn defer_reason(slot: &Slot) -> Option<DeferReason> {
         Slot::Ready => None,
         Slot::WaitVersion(v) => Some(DeferReason::MissingVersion(*v)),
         Slot::WaitClock(id) => Some(DeferReason::MissingRequest(obs_id(*id))),
-    }
-}
-
-/// An opaque full-state checkpoint of a [`Site`], including its reception
-/// queues — see [`Site::checkpoint`]. Boxed so fork-heavy explorers can
-/// keep many of them on an explicit work stack cheaply.
-#[derive(Debug, Clone)]
-pub struct Checkpoint<E>(Box<Site<E>>);
-
-impl<E: Element> Checkpoint<E> {
-    /// Materializes an independent site from the checkpoint (state
-    /// forking: the checkpoint stays reusable).
-    pub fn materialize(&self) -> Site<E> {
-        (*self.0).clone()
     }
 }
 
@@ -116,6 +109,7 @@ impl<E: Element> Site<E> {
             undone: Vec::new(),
             rejected_proposals: Vec::new(),
             peer_clocks: HashMap::new(),
+            compact_at: 0,
             obs: ObsHandle::default(),
         }
     }
@@ -236,11 +230,6 @@ impl<E: Element> Site<E> {
         self.flags.iter()
     }
 
-    /// The per-request flag table of this shard.
-    pub fn flag_table(&self) -> &FlagTable {
-        &self.flags
-    }
-
     /// Requests rejected by `Check_Remote` at this site.
     pub fn denials(&self) -> &[RequestId] {
         &self.denials
@@ -267,11 +256,6 @@ impl<E: Element> Site<E> {
     /// Takes (and clears) the accumulated retroactive-undo records.
     pub fn drain_undone(&mut self) -> Vec<RequestId> {
         std::mem::take(&mut self.undone)
-    }
-
-    /// Takes (and clears) the refused delegated proposals.
-    pub fn drain_rejected_proposals(&mut self) -> Vec<AdminProposal> {
-        std::mem::take(&mut self.rejected_proposals)
     }
 
     /// Number of queued (not yet causally ready) messages.
@@ -378,6 +362,7 @@ impl<E: Element> Site<E> {
             undone: Vec::new(),
             rejected_proposals: Vec::new(),
             peer_clocks: HashMap::new(),
+            compact_at: 0,
             obs: ObsHandle::default(),
         }
     }
@@ -406,29 +391,9 @@ impl<E: Element> Site<E> {
             undone: Vec::new(),
             rejected_proposals: Vec::new(),
             peer_clocks: HashMap::new(),
+            compact_at: 0,
             obs: ObsHandle::default(),
         }
-    }
-
-    /// Captures a *complete* checkpoint of this site — replicated state,
-    /// reception queues, outboxes and diagnostics alike. Unlike
-    /// [`Site::snapshot_parts`] (state transfer to a joining peer, which
-    /// deliberately drops the queues), a checkpoint is a fork point: state
-    /// explorers such as `dce-check` branch one prefix of a session into
-    /// many continuations without replaying it.
-    /// Checkpoints carry no observability handle: instrumentation records
-    /// the path taken, not the state reached, so a restored site comes
-    /// back with recording disabled and counters at zero.
-    pub fn checkpoint(&self) -> Checkpoint<E> {
-        let mut copy = self.clone();
-        copy.obs = ObsHandle::default();
-        Checkpoint(Box::new(copy))
-    }
-
-    /// Restores this site to a previously captured [`Checkpoint`],
-    /// discarding everything that happened since.
-    pub fn restore(&mut self, checkpoint: &Checkpoint<E>) {
-        *self = (*checkpoint.0).clone();
     }
 
     /// Feeds every behavioral component of the site into `h`: identity,
@@ -596,24 +561,65 @@ impl<E: Element> Site<E> {
         &self.peer_clocks
     }
 
+    /// Combined (canonical + admin) log length, the quantity the
+    /// compaction watermark bounds.
+    pub(crate) fn logs_len(&self) -> usize {
+        self.engine.log().len() + self.admin_log.len()
+    }
+
+    /// The one compaction trigger — the always-on stability-horizon
+    /// compactor every `dce_core::Engine` shard runs at
+    /// [`crate::COMPACT_WATERMARK`] after each protocol mutation, and the
+    /// simulator at its configured watermark after each delivery. It runs
+    /// [`Site::auto_compact`] when a horizon is computable at all (a
+    /// heartbeat from every other member is on file) and either
+    ///
+    /// * the combined log length reached the trigger point — `watermark`
+    ///   at first, then the post-compaction length plus `watermark`: when
+    ///   the horizon advances normally the logs oscillate around the
+    ///   watermark, and when a silent member pins it the logs grow as they
+    ///   must, but each further attempt costs a watermark of new entries;
+    ///   or
+    /// * `heartbeat` — the caller just delivered one, which is what moves
+    ///   the horizon — and the logs are at or past the watermark.
+    ///
+    /// Returns the entries reclaimed, or `None` when the trigger did not
+    /// fire (a caller journaling compactions records only `Some`).
+    pub fn maybe_compact(&mut self, watermark: usize, heartbeat: bool) -> Option<usize> {
+        let combined = self.logs_len();
+        let due =
+            combined >= self.compact_at.max(watermark) || (heartbeat && combined >= watermark);
+        if !due || !self.horizon_ready() {
+            return None;
+        }
+        let reclaimed = self.auto_compact();
+        self.compact_at = self.logs_len() + watermark;
+        Some(reclaimed)
+    }
+
     /// `true` once a stability horizon is computable at all: a heartbeat
     /// clock is on file for every *other* member of the policy's user set.
-    /// The always-on compactor gates on this before journaling a
-    /// compaction attempt — [`Site::auto_compact`] without a horizon is a
-    /// no-op that would still cost a WAL record per trigger.
-    pub fn horizon_ready(&self) -> bool {
+    /// [`Site::maybe_compact`] gates on this before attempting — and so
+    /// before its caller journals the attempt.
+    fn horizon_ready(&self) -> bool {
         self.policy
             .users()
             .iter()
             .all(|user| *user == self.user || self.peer_clocks.contains_key(user))
     }
 
-    /// Compacts the log using the heartbeat-derived stability horizon
-    /// ([`Site::compact_stable`]): an entry may be dropped only once every
-    /// *other* member of the subject set `S` has acknowledged it (and it is
-    /// no longer tentative), wherever it sits in the canonical log. Members
-    /// that have never sent a heartbeat hold compaction back — safe by
-    /// construction. Returns the number of log entries reclaimed.
+    /// Compacts the log using the heartbeat-derived stability horizon: an
+    /// entry may be dropped only once every *other* member of the subject
+    /// set `S` has acknowledged it (and it is no longer tentative),
+    /// wherever it sits in the canonical log. Members that have never sent
+    /// a heartbeat hold compaction back — safe by construction. Returns the
+    /// number of log entries reclaimed.
+    ///
+    /// This is the only way to prune from outside `dce-core`: explicit
+    /// passes (a server's all-acked snapshot, the editor's `compact`, the
+    /// model checker) and the watermark trigger [`Site::maybe_compact`]
+    /// all come through here, so every compaction passes the
+    /// delivered-everything-announced gate below.
     ///
     /// The diagnostics vectors ([`Site::denials`], [`Site::undone`],
     /// [`Site::rejected_proposals`]) are trimmed along the way: entries
@@ -686,8 +692,10 @@ impl<E: Element> Site<E> {
     /// `dce_ot::Engine::prune_stable` and [`crate::gc`]). Returns the number
     /// of entries reclaimed. `horizon` must be stable group-wide: below
     /// every participant's clock and inside the context of every request
-    /// still on its way here ([`Site::auto_compact`] derives one from
-    /// heartbeats and checks the second half).
+    /// still on its way here. [`Site::auto_compact`] derives one from
+    /// heartbeats and checks the second half, and is the only caller
+    /// outside this crate's unit tests: pruning without that gate lets a
+    /// late concurrent request integrate untransformed and diverge.
     ///
     /// The reclaimed entries' flags are settled and stable group-wide: no
     /// transition, duplicate or retroactive check can touch them again, so
@@ -696,7 +704,7 @@ impl<E: Element> Site<E> {
     /// other moments, or never). Without this the flag table is the one
     /// structure that still grows with session length rather than with the
     /// live log.
-    pub fn compact_stable(&mut self, horizon: &Clock) -> usize {
+    pub(crate) fn compact_stable(&mut self, horizon: &Clock) -> usize {
         let flags = &self.flags;
         let stable = self.engine.prune_stable(|e| {
             horizon.contains(e.id)

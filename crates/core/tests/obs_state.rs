@@ -1,7 +1,6 @@
 //! Observability is *not* replicated state: whether a site records or
-//! not, its digests are identical; checkpoints strip the recorder, so a
-//! restored site comes back with observability disabled; and the policy
-//! memo counters never leak into state comparison.
+//! not, its digests are identical, and the policy memo counters never
+//! leak into state comparison.
 
 use dce_core::{Message, Site};
 use dce_document::{Char, CharDocument, Op};
@@ -43,40 +42,6 @@ fn digest_is_identical_recording_on_or_off() {
     assert!(!obs.events().is_empty(), "the traced run did record");
     assert_eq!(digest(&adm_a), digest(&adm_b), "admin digest is blind to recording");
     assert_eq!(digest(&s1_a), digest(&s1_b), "user digest is blind to recording");
-}
-
-#[test]
-fn checkpoint_strips_the_recorder() {
-    let (mut adm, mut s1) = pair();
-    let obs = ObsHandle::recording(256);
-    s1.set_observability(obs.clone());
-    drive(&mut adm, &mut s1);
-    let events_before = obs.events().len();
-    assert!(events_before > 0);
-    let cp = s1.checkpoint();
-    // A checkpoint is a fork point for state explorers; instrumentation
-    // records the path taken, not the state reached, so restoring brings
-    // the site back with observability disabled.
-    s1.restore(&cp);
-    assert!(!s1.observability().enabled());
-    // Driving the restored site adds nothing to the old journal.
-    s1.generate(Op::ins(1, 'y')).unwrap();
-    assert_eq!(obs.events().len(), events_before);
-}
-
-#[test]
-fn restored_checkpoint_matches_the_traced_original() {
-    let (mut adm, mut s1) = pair();
-    let obs = ObsHandle::recording(256);
-    adm.set_observability(obs.clone());
-    s1.set_observability(obs);
-    drive(&mut adm, &mut s1);
-    let cp = s1.checkpoint();
-    let traced_digest = digest(&s1);
-    let (_, mut other) = pair();
-    other.restore(&cp);
-    assert_eq!(digest(&other), traced_digest, "digest excludes the recorder");
-    assert!(!other.observability().enabled());
 }
 
 #[test]

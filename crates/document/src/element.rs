@@ -3,8 +3,8 @@
 //! The paper (§3.1) parameterises the list abstract data type by the element
 //! type: "an element may be regarded as a character, a paragraph, a page, an
 //! XML node, etc.". We capture that with the [`Element`] marker trait and
-//! ship the three concrete element kinds the paper names that make sense for
-//! a library (characters, paragraphs, XML-ish nodes).
+//! ship two concrete element kinds (characters and paragraphs); any other
+//! `Clone + Eq + Debug` type works too.
 
 use std::fmt;
 
@@ -63,52 +63,6 @@ impl fmt::Display for Paragraph {
     }
 }
 
-/// A minimal XML-like node element: tag, attributes and flattened text.
-///
-/// Children are represented positionally by neighbouring document elements
-/// (a linearised tree), which is how OT-based editors commonly flatten
-/// structured documents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Node {
-    /// Element tag, e.g. `"title"`.
-    pub tag: String,
-    /// Attribute pairs in document order.
-    pub attrs: Vec<(String, String)>,
-    /// Text content.
-    pub text: String,
-    /// Nesting depth in the linearised tree (0 = root child).
-    pub depth: u16,
-}
-
-impl Node {
-    /// Creates a node with no attributes at depth 0.
-    pub fn new(tag: impl Into<String>, text: impl Into<String>) -> Self {
-        Node { tag: tag.into(), attrs: Vec::new(), text: text.into(), depth: 0 }
-    }
-
-    /// Returns a copy of this node at the given depth.
-    pub fn at_depth(mut self, depth: u16) -> Self {
-        self.depth = depth;
-        self
-    }
-
-    /// Adds an attribute, returning the node for chaining.
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((key.into(), value.into()));
-        self
-    }
-}
-
-impl fmt::Display for Node {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:indent$}<{}", "", self.tag, indent = self.depth as usize * 2)?;
-        for (k, v) in &self.attrs {
-            write!(f, " {k}={v:?}")?;
-        }
-        write!(f, ">{}</{}>", self.text, self.tag)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,17 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn node_renders_attrs_and_depth() {
-        let n = Node::new("a", "link").attr("href", "/x").at_depth(1);
-        assert_eq!(n.to_string(), "  <a href=\"/x\">link</a>");
-    }
-
-    #[test]
     fn blanket_element_impl_covers_custom_types() {
         fn assert_element<E: Element>() {}
         assert_element::<Char>();
         assert_element::<Paragraph>();
-        assert_element::<Node>();
         assert_element::<u64>();
         assert_element::<String>();
     }

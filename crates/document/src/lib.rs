@@ -5,8 +5,8 @@
 //! may be a character, a paragraph, a page or an XML node (paper §3.1). This
 //! crate provides that abstraction for the whole `dce` stack:
 //!
-//! * [`Element`] — the element trait, implemented by [`Char`], [`Paragraph`]
-//!   and [`Node`] out of the box, plus any `Clone + Eq + Debug` type;
+//! * [`Element`] — the element trait, implemented by [`Char`] and
+//!   [`Paragraph`] out of the box, plus any `Clone + Eq + Debug` type;
 //! * [`Document`] — the replicated document state, addressed from **position
 //!   1** exactly as in the paper's examples;
 //! * [`Op`] — the cooperative operations `Ins(p, e)`, `Del(p, e)` and
@@ -36,7 +36,7 @@ pub mod error;
 pub mod ops;
 pub mod state;
 
-pub use element::{Char, Element, Node, Paragraph};
+pub use element::{Char, Element, Paragraph};
 pub use error::ApplyError;
 pub use ops::{Op, OpKind};
 pub use state::{CharDocument, Document, Position};

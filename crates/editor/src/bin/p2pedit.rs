@@ -226,7 +226,7 @@ fn run_command(
             _ => Message("!! usage: audit <site>".into()),
         },
         ["gc"] => {
-            let n = session.gossip_and_compact();
+            let n = session.compact();
             msg(format!("compacted {n} log entries group-wide"))
         }
         other => Message(format!("!! unknown command {:?} — try `help`", other.join(" "))),

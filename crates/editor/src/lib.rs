@@ -11,8 +11,9 @@
 //! * [`page::PageSession`] — paragraph-granularity editing of html-like
 //!   pages, the workload of the paper's screenshots;
 //! * both expose the administrator console (grant/revoke/membership,
-//!   groups, delegation) and log compaction (the garbage-collection
-//!   extension) — plus clipboard compounds on the text session;
+//!   groups, delegation); the text session adds heartbeat-gated log
+//!   compaction (the garbage-collection extension) and clipboard
+//!   compounds;
 //! * `cargo run -p dce-editor --bin p2pedit` is the interactive REPL
 //!   version of the same session (the Fig. 6 screenshot, textually).
 

@@ -1,9 +1,8 @@
 //! Character-granularity collaborative text sessions.
 
-use dce_core::{gc, CoreError, Site};
+use dce_core::{CoreError, Site};
 use dce_document::{Char, CharDocument, Op, Position};
 use dce_net::sim::{Latency, SimNet};
-use dce_ot::ids::Clock;
 use dce_policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject, UserId};
 
 /// A live collaborative text-editing session over the simulated network.
@@ -17,25 +16,12 @@ pub struct TextSession {
 }
 
 impl TextSession {
-    /// Opens a session: `users[0]`… wait — users are `0..n`; user 0 is the
+    /// Opens a session for users `0..n_users`; user 0 is the
     /// administrator. The initial policy grants everyone every right
     /// (the paper's Fig. 5 starting point).
     pub fn open(initial: &str, n_users: u32, seed: u64, latency: Latency) -> Self {
         let users: Vec<UserId> = (0..n_users).collect();
         let policy = Policy::permissive(users);
-        TextSession {
-            net: SimNet::group(n_users, CharDocument::from_str(initial), policy, seed, latency),
-        }
-    }
-
-    /// Opens a session with an explicit starting policy.
-    pub fn open_with_policy(
-        initial: &str,
-        n_users: u32,
-        policy: Policy,
-        seed: u64,
-        latency: Latency,
-    ) -> Self {
         TextSession {
             net: SimNet::group(n_users, CharDocument::from_str(initial), policy, seed, latency),
         }
@@ -260,26 +246,16 @@ impl TextSession {
         self.net.converged()
     }
 
-    /// Compacts every active site's cooperative log up to the group-wide
-    /// stability horizon. Returns the total number of entries reclaimed.
+    /// Compacts the logs in protocol: every active site broadcasts a
+    /// heartbeat, everything in flight is delivered, and each site runs
+    /// the gated [`Site::auto_compact`] on what it heard. Returns the total
+    /// number of entries reclaimed group-wide.
     ///
-    /// The horizon is computed directly from the live sites' clocks — the
-    /// session layer can see all replicas. A deployment uses the
-    /// in-protocol variant instead: [`TextSession::gossip_and_compact`].
+    /// Each site prunes only what it knows is stable: a member that left
+    /// without being expelled never heartbeats again and pins the horizon
+    /// (expel it first), and a site still missing a request some heartbeat
+    /// announced keeps every form that request may transform against.
     pub fn compact(&mut self) -> usize {
-        let clocks: Vec<Clock> =
-            self.net.active_sites().map(|s| s.engine().clock().clone()).collect();
-        let horizon = gc::stability_horizon(clocks.iter());
-        let mut total = 0;
-        for idx in 0..self.net.len() {
-            total += self.net.site_mut(idx).compact_stable(&horizon);
-        }
-        total
-    }
-
-    /// In-protocol compaction: every site broadcasts a heartbeat, the
-    /// messages propagate, and each site compacts from what it heard.
-    pub fn gossip_and_compact(&mut self) -> usize {
         self.net.gossip_heartbeats();
         self.net.run_to_quiescence();
         self.net.auto_compact_all()
@@ -360,19 +336,6 @@ mod tests {
         s.replace_char(1, 7, 'B').unwrap();
         s.sync();
         assert_eq!(s.text(0), "title Body");
-    }
-
-    #[test]
-    fn gossip_compaction_matches_direct_compaction() {
-        let mut s = TextSession::open("", 3, 25, Latency::Fixed(2));
-        s.insert_str(1, 1, "hello").unwrap();
-        s.sync();
-        let reclaimed = s.gossip_and_compact();
-        assert!(reclaimed > 0);
-        s.insert_str(2, 1, "!").unwrap();
-        s.sync();
-        assert!(s.converged());
-        assert_eq!(s.text(0), "!hello");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! a deployment would.
 //!
 //! The whole net is `Clone`: a driver forks the state at a branch point
-//! instead of replaying the prefix (sites fork via [`Site::checkpoint`]
-//! semantics — a full copy, reception queues included).
+//! instead of replaying the prefix (each site's `Clone` is a full copy,
+//! reception queues included).
 
 use crate::wire::{decode_message, encode_message, WireElement};
 use dce_core::{CoopRequest, CoreError, Message, Site};

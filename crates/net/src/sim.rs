@@ -172,11 +172,9 @@ pub struct SimNet<E: Element> {
     /// event has been emitted for that window.
     healed: Vec<bool>,
     /// Always-on compactor watermark (`None` = explicit
-    /// [`SimNet::auto_compact_all`] calls only); mirrors the engine's
-    /// log-size trigger so chaos suites can run with compaction armed.
+    /// [`SimNet::auto_compact_all`] calls only), handed to
+    /// [`Site::maybe_compact`] after every delivery.
     compact_watermark: Option<usize>,
-    /// Per-site combined log length at which the compactor fires next.
-    compact_at: Vec<usize>,
     /// Total log entries reclaimed by the always-on compactor.
     compactions_reclaimed: usize,
 }
@@ -219,40 +217,22 @@ impl<E: Element> SimNet<E> {
             ledger: NetLedger::with_sites(n),
             healed: Vec::new(),
             compact_watermark: None,
-            compact_at: vec![usize::MAX; n],
             compactions_reclaimed: 0,
         }
     }
 
     /// Arms the always-on stability-horizon compactor: after every
-    /// delivery that leaves a site's combined canonical-plus-admin log
-    /// length at or above its trigger point, the site `auto_compact`s
-    /// (provided a horizon is computable), and the trigger moves to the
-    /// post-compaction length plus `watermark` — the trigger every
-    /// `dce_core::Engine` shard runs (at `COMPACT_WATERMARK`), so chaos
-    /// suites exercise the compactor the deployed engine runs.
+    /// delivery the destination runs [`Site::maybe_compact`] at
+    /// `watermark` — the trigger every `dce_core::Engine` shard runs at
+    /// `COMPACT_WATERMARK`, so chaos suites exercise the compactor the
+    /// deployed engine runs.
     pub fn enable_compaction(&mut self, watermark: usize) {
-        let wm = watermark.max(1);
-        self.compact_watermark = Some(wm);
-        self.compact_at = vec![wm; self.sites.len()];
+        self.compact_watermark = Some(watermark.max(1));
     }
 
     /// Log entries reclaimed by the always-on compactor so far.
     pub fn compactions_reclaimed(&self) -> usize {
         self.compactions_reclaimed
-    }
-
-    /// The watermark trigger check, run after a delivery to `dest`.
-    fn maybe_compact(&mut self, dest: usize) {
-        let Some(wm) = self.compact_watermark else { return };
-        let site = &mut self.sites[dest];
-        let combined = site.engine().log().len() + site.admin_log().len();
-        if combined < self.compact_at[dest] || !site.horizon_ready() {
-            return;
-        }
-        self.compactions_reclaimed += site.auto_compact();
-        let after = site.engine().log().len() + site.admin_log().len();
-        self.compact_at[dest] = after + wm;
     }
 
     /// Shares `obs` with the network and every site: sites emit protocol
@@ -556,7 +536,6 @@ impl<E: Element> SimNet<E> {
         self.sites.push(site);
         self.active.push(true);
         self.retry_pending.push(false);
-        self.compact_at.push(self.compact_watermark.unwrap_or(usize::MAX));
         self.ledger.grow();
         let idx = self.sites.len() - 1;
         let cfg = self.reliable_cfg;
@@ -636,13 +615,17 @@ impl<E: Element> SimNet<E> {
             Some(t) => t(msg),
             None => msg.clone(),
         };
+        let heartbeat = matches!(msg, Message::Heartbeat { .. });
         self.sites[dest].receive(msg).expect("protocol errors are bugs in the simulation");
         self.stats.delivered += 1;
         self.ledger.delivered[dest] += 1;
         for out in self.sites[dest].drain_outbox() {
             self.broadcast(dest, out);
         }
-        self.maybe_compact(dest);
+        if let Some(wm) = self.compact_watermark {
+            self.compactions_reclaimed +=
+                self.sites[dest].maybe_compact(wm, heartbeat).unwrap_or(0);
+        }
     }
 
     /// Delivers the next scheduled event. Returns `false` when the
@@ -958,9 +941,6 @@ impl<E: Element + crate::wire::WireElement + Send + 'static> SimNet<E> {
         self.sites[idx] = site;
         self.sites[idx].set_observability(self.obs.clone());
         self.active[idx] = true;
-        if let Some(wm) = self.compact_watermark {
-            self.compact_at[idx] = wm;
-        }
         self.obs.emit(idx as u32, 0, EventKind::SiteRejoined { site: idx as u32 });
 
         let mut ghost_backlog = Vec::new();

@@ -18,7 +18,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dce_core::{AdminProposal, CoopRequest, DocumentId, Message};
-use dce_document::{Char, Element, Node, Op, Paragraph};
+use dce_document::{Char, Element, Op, Paragraph};
 use dce_ot::engine::BroadcastRequest;
 use dce_ot::ids::{Clock, RequestId};
 use dce_ot::log::LogEntry;
@@ -176,28 +176,6 @@ impl WireElement for Paragraph {
     }
     fn decode(buf: &mut Bytes) -> Result<Self> {
         Ok(Paragraph { text: get_str(buf)?, style: get_str(buf)? })
-    }
-}
-
-impl WireElement for Node {
-    fn encode(&self, out: &mut BytesMut) {
-        put_str(out, &self.tag);
-        out.put_u32_le(self.attrs.len() as u32);
-        for (k, v) in &self.attrs {
-            put_str(out, k);
-            put_str(out, v);
-        }
-        put_str(out, &self.text);
-        out.put_u16_le(self.depth);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        let tag = get_str(buf)?;
-        let n = get_u32(buf)? as usize;
-        let mut attrs = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            attrs.push((get_str(buf)?, get_str(buf)?));
-        }
-        Ok(Node { tag, attrs, text: get_str(buf)?, depth: get_u16(buf)? })
     }
 }
 
@@ -708,7 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn paragraph_and_node_elements_roundtrip() {
+    fn paragraph_elements_roundtrip() {
         let p = Message::Coop(CoopRequest {
             ot: BroadcastRequest {
                 id: RequestId::new(3, 1),
@@ -730,8 +708,8 @@ mod tests {
                 top: TOp {
                     op: Op::Up {
                         pos: 1,
-                        old: Node::new("a", "x").attr("href", "/"),
-                        new: Node::new("a", "y").at_depth(2),
+                        old: Paragraph::new("x"),
+                        new: Paragraph::styled("y", "li"),
                     },
                     origin: 1,
                     site: 1,

@@ -54,10 +54,8 @@ fn transposes(site: &Site<Char>) -> u64 {
 #[test]
 fn a_warm_partition_leaves_no_trace_in_digests_or_snapshots() {
     let (mut warm, next) = warm_member(150, 4);
-    // A checkpoint is a fork point: it carries state, not the cache.
-    let mut cold: Site<Char> =
-        Site::new_user(2, 0, CharDocument::from_str("abcdefgh"), Policy::permissive([0, 1, 2]));
-    cold.restore(&warm.checkpoint());
+    // A clone is a fork point: it carries state, not the cache.
+    let mut cold = warm.clone();
 
     let same = |a: &Site<Char>, b: &Site<Char>, when: &str| {
         assert_eq!(a.state_digest(), b.state_digest(), "state digest {when}");

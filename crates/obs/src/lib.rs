@@ -29,7 +29,7 @@
 //! every emission is a single branch on an empty `Option` — no
 //! allocation, no atomics, no locks — so hot paths keep their PR 2
 //! numbers. Recorder and metrics state is *never* part of replicated
-//! state: site digests, checkpoints and snapshots exclude it, so
+//! state: site digests and snapshots exclude it, so
 //! `dce-check`'s state-space dedupe is unaffected by recording.
 
 #![forbid(unsafe_code)]

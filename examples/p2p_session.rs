@@ -66,8 +66,13 @@ fn main() {
     assert!(s.converged());
     show(&s, "after bob left", &[0, 1, carol]);
 
-    // Housekeeping: compact the settled history.
+    // Housekeeping: compact the settled history. Every site prunes only
+    // what each remaining member acknowledged in a heartbeat, and bob will
+    // never send one again: until the administrator expels him, his
+    // silence pins the stability horizon and nothing is reclaimed.
+    s.expel(2).unwrap();
     let reclaimed = s.compact();
+    assert!(reclaimed > 0, "the expelled member no longer pins the horizon");
     println!("{:<34} -> {reclaimed} log entries reclaimed", "log compaction");
     s.insert_str(carol, 1, "~").unwrap();
     s.sync();

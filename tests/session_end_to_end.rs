@@ -2,8 +2,9 @@
 //! policy → core → net → editor) under randomized latency, with dynamic
 //! membership, log compaction, and paragraph documents.
 
+use dce::core::Message;
 use dce::document::Paragraph;
-use dce::document::{CharDocument, Op};
+use dce::document::{Char, CharDocument, Op};
 use dce::editor::{PageSession, TextSession};
 use dce::net::sim::{Latency, SimNet};
 use dce::policy::{AdminOp, DocObject, Policy, Right, Subject};
@@ -48,6 +49,61 @@ fn membership_churn_with_compaction() {
     s.sync();
     assert!(s.converged());
     assert!(s.text(0).contains("alpha beta"));
+}
+
+/// Hands `msg` straight to each site in `to`, bypassing the network, so
+/// a test decides exactly which replica has seen what.
+fn hand(s: &mut TextSession, to: &[usize], msg: &Message<Char>) {
+    for &i in to {
+        s.net_mut().site_mut(i).receive(msg.clone()).unwrap();
+    }
+}
+
+/// `a1` (from `a_site`, inserting at 1) and its validation land
+/// everywhere, while the concurrent `c1` (from `c_site`, inserting at
+/// `c_pos`) is still in flight to site 3 when the session compacts.
+/// Pruning `a1` at site 3 would leave `c1` nothing to transform against
+/// there: it would integrate untransformed, and site 3 would read, say,
+/// `"yxabc"` where everyone else reads `"xyabc"`.
+fn late_concurrent_request_survives_compaction(a_site: usize, c_site: usize, c_pos: usize) {
+    let mut s = TextSession::open("abc", 4, 7, Latency::Fixed(1));
+    let a1 = Message::Coop(s.net_mut().site_mut(a_site).generate(Op::ins(1, 'x')).unwrap());
+    let c1 = Message::Coop(s.net_mut().site_mut(c_site).generate(Op::ins(c_pos, 'y')).unwrap());
+    hand(&mut s, &[0, c_site, 3], &a1);
+    for v in s.net_mut().site_mut(0).drain_outbox() {
+        hand(&mut s, &[a_site, c_site, 3], &v);
+    }
+    hand(&mut s, &[0, a_site], &c1);
+    let c1_validation = s.net_mut().site_mut(0).drain_outbox();
+    for v in &c1_validation {
+        hand(&mut s, &[a_site, c_site], v);
+    }
+
+    assert!(s.compact() > 0, "the sites holding both requests still compact");
+
+    hand(&mut s, &[3], &c1);
+    for v in &c1_validation {
+        hand(&mut s, &[3], v);
+    }
+    s.sync();
+    let texts: Vec<String> = (0..4).map(|i| s.text(i)).collect();
+    assert!(
+        texts.iter().all(|t| *t == texts[0]),
+        "a1 from {a_site}, c1 from {c_site} at {c_pos}: {texts:?}"
+    );
+    assert!(s.converged());
+}
+
+/// Both tie-break orders of two insertions at one position, and a `c1`
+/// past `a1`'s position, where no tie-break can hide the missing
+/// transformation whichever site wrote `a1`.
+#[test]
+fn compaction_waits_for_a_request_still_in_flight() {
+    for (a_site, c_site) in [(1, 2), (2, 1)] {
+        for c_pos in [1, 3] {
+            late_concurrent_request_survives_compaction(a_site, c_site, c_pos);
+        }
+    }
 }
 
 #[test]
