@@ -28,7 +28,6 @@ fn chaos_run(seed: u64, drop_prob: f64) -> u64 {
     if drop_prob > 0.0 {
         sim.set_fault_plan(FaultPlan::none().with_drops(drop_prob));
     }
-    sim.enable_reliability();
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..OPS_PER_SITE {
         for site in 0..N_SITES as usize {

@@ -44,7 +44,6 @@ fn run_session(obs: &ObsHandle) -> (Duration, String) {
     sim.set_fault_plan(
         FaultPlan::none().with_drops(0.10).with_duplicates(0.05).with_reordering(0.05, 150),
     );
-    sim.enable_reliability();
     let mut rng = StdRng::seed_from_u64(SEED);
 
     let start = Instant::now();

@@ -22,7 +22,6 @@ const USAGE: &str = "usage: dce-check [options]
   --ops <k>                               cooperative operations (default 4)
   --dups <d>                              duplicate deliveries per message (default 0)
   --budget <n>                            distinct-state budget (default 1000000)
-  --no-wire                               skip the wire-codec round-trip
   --no-determinism                        skip the replay-determinism oracle
   --flight-dir <dir>                      where violation trace dumps go (default results)";
 
@@ -32,7 +31,6 @@ struct Args {
     ops: usize,
     dups: u8,
     cfg: Config,
-    wire: bool,
     flight_dir: String,
 }
 
@@ -43,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         ops: 4,
         dups: 0,
         cfg: Config::default(),
-        wire: true,
         flight_dir: "results".to_owned(),
     };
     let mut argv = std::env::args().skip(1);
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
             "--ops" => out.ops = parse(&value("--ops")?)?,
             "--dups" => out.dups = parse(&value("--dups")?)?,
             "--budget" => out.cfg.max_states = parse(&value("--budget")?)?,
-            "--no-wire" => out.wire = false,
             "--no-determinism" => out.cfg.check_determinism = false,
             "--flight-dir" => out.flight_dir = value("--flight-dir")?,
             "--help" | "-h" => {
@@ -85,15 +81,13 @@ fn main() {
         std::process::exit(2);
     };
     scenario.max_dups = args.dups;
-    scenario.wire_codec = args.wire;
 
     println!(
-        "exploring {} — {} sites, {} ops, {} dup(s)/msg, wire codec {}",
+        "exploring {} — {} sites, {} ops, {} dup(s)/msg",
         scenario.name,
         scenario.sites(),
         args.ops,
         args.dups,
-        if scenario.wire_codec { "on" } else { "off" },
     );
     let start = Instant::now();
     let verdict = explore_with(&scenario, args.cfg);

@@ -68,8 +68,7 @@ impl Runner {
         for i in 1..n {
             sites.push(Site::new_user(i as UserId, 0, d0.clone(), scenario.policy.clone()));
         }
-        let mut net = ScriptedNet::from_sites(sites, scenario.max_dups);
-        net.set_wire_codec(scenario.wire_codec);
+        let net = ScriptedNet::from_sites(sites, scenario.max_dups);
         Runner { scenario, net, pcs: vec![0; n] }
     }
 

@@ -60,8 +60,6 @@ pub struct Scenario {
     /// Per-message duplicate-delivery allowance explored on top of the
     /// final delivery (0 = exactly-once choices only).
     pub max_dups: u8,
-    /// Round-trip every delivery through the binary wire codec.
-    pub wire_codec: bool,
     /// Run the stability-horizon compactor (`Site::auto_compact`) at the
     /// destination after every delivery.
     pub compact: bool,
@@ -98,7 +96,6 @@ impl Scenario {
             policy: Policy::permissive(0..sites as UserId),
             programs: vec![Vec::new(); sites],
             max_dups: 0,
-            wire_codec: true,
             compact: false,
         }
     }

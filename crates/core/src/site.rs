@@ -367,35 +367,6 @@ impl<E: Element> Site<E> {
         }
     }
 
-    /// Clones this site's replicated state (document, logs, policy, flags)
-    /// into a fresh site owned by `user` — how a joining participant
-    /// bootstraps from any existing replica (paper §3.3: "users may join
-    /// the group to participate…"). In-flight queues and outbox are *not*
-    /// inherited; the network will deliver the newcomer's own copies.
-    pub fn rejoin_as(&self, user: UserId) -> Self {
-        let mut engine = self.engine.clone();
-        engine.rebind_site(user);
-        Site {
-            user,
-            admin_id: self.admin_id,
-            doc: self.doc,
-            engine,
-            // An Arc clone: the donor and the newcomer share the snapshot
-            // until the next administrative mutation copies-on-write.
-            policy: self.policy.clone(),
-            admin_log: self.admin_log.clone(),
-            flags: self.flags.clone(),
-            sched: Scheduler::new(),
-            outbox: Vec::new(),
-            denials: Vec::new(),
-            undone: Vec::new(),
-            rejected_proposals: Vec::new(),
-            peer_clocks: HashMap::new(),
-            compact_at: 0,
-            obs: ObsHandle::default(),
-        }
-    }
-
     /// Feeds every behavioral component of the site into `h`: identity,
     /// engine (buffer, log, clock), policy, administrative log, flags,
     /// queued messages, outboxes, diagnostics and peer clocks. Work
@@ -1181,7 +1152,7 @@ mod tests {
         // Same for a duplicate queued *before* its original is ready:
         // deliver a dependent request twice, then the dependency.
         let q2 = s1.generate(Op::up(1, 'x', 'z')).unwrap();
-        let mut s3 = adm.rejoin_as(3);
+        let mut s3 = Site::new_user(3, 0, doc("abc"), Policy::permissive([0, 1, 2]));
         s3.receive(Message::Coop(q2.clone())).unwrap();
         s3.receive(Message::Coop(q2)).unwrap();
         assert_eq!(s3.queued(), 1, "the duplicate is rejected at the queue door");

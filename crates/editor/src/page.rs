@@ -35,13 +35,6 @@ impl PageSession {
         &mut self.net
     }
 
-    /// Runs the session over a chaotic transport with the acknowledged
-    /// session layer repairing the losses. Call before editing.
-    pub fn enable_chaos(&mut self, plan: dce_net::FaultPlan) {
-        self.net.set_fault_plan(plan);
-        self.net.enable_reliability();
-    }
-
     /// Shares an observability handle with the whole session: every site
     /// journals protocol events and the network adds transport events.
     /// Call before editing to capture the run from the start.

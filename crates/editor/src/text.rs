@@ -38,14 +38,6 @@ impl TextSession {
         &mut self.net
     }
 
-    /// Runs the session over a chaotic transport: every broadcast leg
-    /// samples its fate from `plan`, and the acknowledged session layer
-    /// ([`dce_net::reliable`]) repairs the losses. Call before editing.
-    pub fn enable_chaos(&mut self, plan: dce_net::FaultPlan) {
-        self.net.set_fault_plan(plan);
-        self.net.enable_reliability();
-    }
-
     /// Shares an observability handle with the whole session: every site
     /// journals protocol events and the network adds transport events.
     /// Call before editing to capture the run from the start.

@@ -25,7 +25,6 @@ fn main() {
             .with_reordering(0.10, 300)
             .with_partition([4], 2_000, 7_000),
     );
-    sim.enable_reliability();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A0_5EED);
 
     let rounds: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(10);
@@ -35,7 +34,7 @@ fn main() {
             println!("[r{round}] crash site 3");
         }
         if round == 7 {
-            sim.rejoin_via_snapshot(3, 0).unwrap();
+            sim.rejoin(3, 0).unwrap();
             println!("[r{round}] rejoin site 3");
         }
         for site in 0..5usize {

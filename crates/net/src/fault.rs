@@ -12,10 +12,9 @@
 //! than per-message faults; they live on
 //! [`SimNet`](crate::sim::SimNet::crash_site) directly.
 //!
-//! Dropping messages makes the fire-and-forget broadcast lossy, so chaos
-//! runs are meant to be paired with the acknowledged session layer in
-//! [`crate::reliable`] — see
-//! [`SimNet::enable_reliability`](crate::sim::SimNet::enable_reliability).
+//! Every `SimNet` leg runs over the acknowledged session layer in
+//! [`crate::reliable`], which retransmits what a plan drops or partitions
+//! and suppresses what it duplicates.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -7,7 +7,9 @@
 //!
 //! * [`sim`] — a deterministic discrete-event simulator: seeded RNG,
 //!   configurable per-message latency, optional reordering, dynamic
-//!   membership (join/leave). Every Fig. 2–5 race of the paper can be
+//!   membership (snapshot join, leave, crash and rejoin). Every leg is an
+//!   encoded [`frame`] on a [`reliable`] stream, the transport
+//!   `dce-server` runs. Every Fig. 2–5 race of the paper can be
 //!   reproduced *exactly*, and randomized schedules explore far more
 //!   interleavings than a LAN ever would.
 //! * [`fault`] — the chaos transport: seeded fault plans injecting drops,
@@ -15,7 +17,7 @@
 //! * [`reliable`] — the acknowledged session layer (sequence numbers,
 //!   cumulative acks, timeout-driven retransmission with capped
 //!   exponential backoff) that restores eventual delivery over a lossy
-//!   chaos transport.
+//!   chaos transport; always on in [`sim`] and in `dce-server`.
 //! * [`scripted`] — the driver-scripted transport: an external chooser
 //!   (the `dce-check` explorer, a pinned regression schedule) delivers
 //!   exactly one selected in-flight message per step. The substrate of

@@ -6,8 +6,8 @@
 //! regression test replaying a pinned schedule) chooses which single
 //! message is delivered next — or delivered *again*, within a bounded
 //! duplication budget. Each delivery round-trips through the binary wire
-//! codec by default, so exploration exercises the same encode/decode path
-//! a deployment would.
+//! codec, so exploration exercises the same encode/decode path a
+//! deployment would.
 //!
 //! The whole net is `Clone`: a driver forks the state at a branch point
 //! instead of replaying the prefix (each site's `Clone` is a full copy,
@@ -44,7 +44,6 @@ pub struct ScriptedNet<E> {
     inflight: Vec<Flight<E>>,
     next_id: u64,
     dup_budget: u8,
-    wire_codec: bool,
     deliveries: u64,
 }
 
@@ -53,20 +52,7 @@ impl<E: WireElement> ScriptedNet<E> {
     /// [`crate::sim::SimNet`]). `dup_budget` is the per-message duplicate
     /// allowance (0 = exactly-once delivery choices only).
     pub fn from_sites(sites: Vec<Site<E>>, dup_budget: u8) -> Self {
-        ScriptedNet {
-            sites,
-            inflight: Vec::new(),
-            next_id: 0,
-            dup_budget,
-            wire_codec: true,
-            deliveries: 0,
-        }
-    }
-
-    /// Enables or disables the wire-codec round-trip on delivery (on by
-    /// default; turning it off saves a little work in huge explorations).
-    pub fn set_wire_codec(&mut self, on: bool) {
-        self.wire_codec = on;
+        ScriptedNet { sites, inflight: Vec::new(), next_id: 0, dup_budget, deliveries: 0 }
     }
 
     /// The sites, in index order.
@@ -156,11 +142,7 @@ impl<E: WireElement> ScriptedNet<E> {
 
     fn deliver_msg(&mut self, dest: usize, msg: &Message<E>) -> Result<(), CoreError> {
         self.deliveries += 1;
-        let msg = if self.wire_codec {
-            decode_message(encode_message(msg)).expect("wire codec round-trips")
-        } else {
-            msg.clone()
-        };
+        let msg = decode_message(encode_message(msg)).expect("wire codec round-trips");
         self.sites[dest].receive(msg)?;
         self.flush_outbox(dest);
         Ok(())

@@ -1,13 +1,17 @@
 //! Deterministic discrete-event network simulation.
 //!
-//! Every delivery leg passes through a [`FaultPlan`] (drops, duplication,
-//! reordering, scheduled partitions); with
-//! [`enable_reliability`](SimNet::enable_reliability) the legs carry
-//! sequenced, acknowledged [`Packet`]s and lost data is retransmitted on
-//! timers, so a chaotic run still delivers everything exactly once, in
-//! per-sender order, to every surviving site. Sites can additionally
+//! The simulator runs the transport `dce-server` runs. Every site owns a
+//! [`reliable::Endpoint`](crate::reliable::Endpoint); every leg is the
+//! byte string [`encode_frame`] makes of a [`Frame::Data`] packet or a
+//! standalone [`Frame::Ack`], and the receiving side parses it with a
+//! [`FrameDecoder`] before the endpoint or the [`Site`] sees it. Each leg
+//! passes through a [`FaultPlan`] (drops, duplication, reordering,
+//! scheduled partitions); lost data is retransmitted on timers, so a
+//! chaotic run still delivers everything exactly once, in per-sender
+//! order, to every surviving site. Sites can additionally
 //! [`crash`](SimNet::crash_site) and later
-//! [rejoin from a snapshot](SimNet::rejoin_via_snapshot).
+//! [rejoin from a snapshot](SimNet::rejoin); a newcomer
+//! [`join`](SimNet::join)s from a snapshot too.
 //!
 //! The [`check_converged`](SimNet::check_converged) oracle compares
 //! document buffers, policy copies, administrative logs and request flags
@@ -16,7 +20,10 @@
 //! replayable.
 
 use crate::fault::{FaultPlan, FaultStats, LegFate};
-use crate::reliable::{Endpoint, Packet, ReliableConfig};
+use crate::frame::{encode_frame, Frame, FrameDecoder};
+use crate::reliable::{Endpoint, ReliableConfig};
+use crate::wire::WireElement;
+use bytes::Bytes;
 use dce_core::{CoopRequest, CoreError, Message, Site};
 use dce_document::{Document, Element, Op};
 use dce_obs::{EventKind, ObsHandle};
@@ -46,9 +53,6 @@ impl Latency {
     }
 }
 
-/// A per-delivery message transform (e.g. the wire codec round-trip).
-type Transport<E> = Box<dyn Fn(&Message<E>) -> Message<E> + Send>;
-
 /// Counters the experiments report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -63,8 +67,8 @@ pub struct SimStats {
 }
 
 /// The always-on conservation ledger: per-destination counts of what
-/// happened to every **payload** leg (raw broadcasts and sequenced data
-/// packets; acks and timers are control traffic and excluded). At
+/// happened to every **payload** leg (the `Data` frames; acks and timers
+/// are control traffic and excluded). At
 /// quiescence every leg put on the wire toward a destination must be
 /// accounted for exactly once:
 ///
@@ -122,20 +126,13 @@ impl NetLedger {
 }
 
 /// What travels on one scheduled wire event.
-///
-/// Payload variants hold the broadcast's single [`Arc`] allocation —
-/// cloning a `Wire` for a duplicate leg copies a pointer, not a message.
-#[derive(Debug, Clone)]
-enum Wire<E> {
-    /// An unsequenced broadcast leg (the fire-and-forget legacy path,
-    /// used while reliability is off).
-    Raw(Arc<Message<E>>),
-    /// A sequenced data packet on a reliable stream.
-    Data(Packet<E>),
-    /// A standalone cumulative ack from `from` for the `dest → from`
-    /// stream (data and heartbeats piggyback acks too; the standalone ack
-    /// lets a one-directional flow complete).
-    Ack { from: usize, epoch: u64, cum: u64 },
+#[derive(Debug)]
+enum Wire {
+    /// One encoded frame on its way to the event's destination: a data
+    /// packet or a standalone cumulative ack (data and heartbeats
+    /// piggyback acks too; the standalone ack lets a one-directional flow
+    /// complete). Duplicate copies share the bytes.
+    Leg(Bytes),
     /// `src`'s retransmission timer.
     Retry { src: usize },
 }
@@ -146,20 +143,16 @@ pub struct SimNet<E: Element> {
     /// `false` once a site has left the group or crashed (no deliveries).
     active: Vec<bool>,
     events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    payloads: HashMap<(u64, u64, usize), Wire<E>>,
+    payloads: HashMap<(u64, u64, usize), Wire>,
     next_seq: u64,
     rng: StdRng,
     latency: Latency,
     stats: SimStats,
-    /// Optional per-delivery transform — used to route every message
-    /// through the binary wire codec (`enable_wire_codec`).
-    transport: Option<Transport<E>>,
     /// The chaos schedule applied to every payload leg.
     fault_plan: FaultPlan,
     fault_stats: FaultStats,
-    /// Per-site session-layer endpoints; `Some` once reliability is on.
-    endpoints: Option<Vec<Endpoint<E>>>,
-    reliable_cfg: ReliableConfig,
+    /// Per-site session-layer endpoints, one per site ever created.
+    endpoints: Vec<Endpoint<E>>,
     /// `true` while a `Wire::Retry` event is in flight for that site.
     retry_pending: Vec<bool>,
     /// Observability handle shared with every site; disabled by default.
@@ -179,7 +172,7 @@ pub struct SimNet<E: Element> {
     compactions_reclaimed: usize,
 }
 
-impl<E: Element> SimNet<E> {
+impl<E: WireElement> SimNet<E> {
     /// Builds a group of `n` sites (site 0 is the administrator) sharing
     /// `d0` and `policy`.
     pub fn group(n: u32, d0: Document<E>, policy: Policy, seed: u64, latency: Latency) -> Self {
@@ -207,11 +200,9 @@ impl<E: Element> SimNet<E> {
             rng: StdRng::seed_from_u64(seed),
             latency,
             stats: SimStats::default(),
-            transport: None,
             fault_plan: FaultPlan::none(),
             fault_stats: FaultStats::default(),
-            endpoints: None,
-            reliable_cfg: ReliableConfig::default(),
+            endpoints: (0..n).map(|i| Endpoint::new(i, ReliableConfig::default())).collect(),
             retry_pending: vec![false; n],
             obs: ObsHandle::default(),
             ledger: NetLedger::with_sites(n),
@@ -262,12 +253,9 @@ impl<E: Element> SimNet<E> {
         &self.ledger
     }
 
-    /// Installs a chaos schedule: every subsequent payload leg samples its
-    /// fate (drop / duplicate / reorder / partition) from `plan`.
-    ///
-    /// Drops and partitions lose messages outright, so plans that use them
-    /// should be paired with [`SimNet::enable_reliability`] when the run
-    /// is expected to converge.
+    /// Installs a chaos schedule: every subsequent leg samples its fate
+    /// (drop / duplicate / reorder / partition) from `plan`. The session
+    /// layer repairs drops and partitions and suppresses duplicates.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.healed = vec![false; plan.partitions.len()];
         self.fault_plan = plan;
@@ -281,27 +269,6 @@ impl<E: Element> SimNet<E> {
     /// Counters of injected faults and session-layer repairs.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
-    }
-
-    /// Switches every broadcast leg onto the acknowledged session layer
-    /// ([`crate::reliable`]): per-peer sequence numbers, cumulative acks
-    /// piggybacked on every data packet (heartbeats included), and
-    /// timeout-driven retransmission with capped exponential backoff.
-    pub fn enable_reliability(&mut self) {
-        self.enable_reliability_with(ReliableConfig::default());
-    }
-
-    /// [`SimNet::enable_reliability`] with explicit timer tuning.
-    pub fn enable_reliability_with(&mut self, cfg: ReliableConfig) {
-        self.reliable_cfg = cfg;
-        self.endpoints = Some((0..self.sites.len()).map(|i| Endpoint::new(i, cfg)).collect());
-    }
-
-    /// Injects duplicate deliveries with the given probability per
-    /// broadcast leg. The protocol suppresses duplicates by request
-    /// identity, so sessions must behave identically.
-    pub fn set_duplication(&mut self, prob: f64) {
-        self.fault_plan.dup_prob = prob.clamp(0.0, 1.0);
     }
 
     /// Current simulated time (ms).
@@ -335,27 +302,24 @@ impl<E: Element> SimNet<E> {
         &mut self.sites[idx]
     }
 
-    /// Iterates the active sites.
-    pub fn active_sites(&self) -> impl Iterator<Item = &Site<E>> {
-        self.sites.iter().zip(&self.active).filter(|(_, a)| **a).map(|(s, _)| s)
-    }
-
     /// `true` while site `idx` participates in deliveries.
     pub fn is_active(&self, idx: usize) -> bool {
         self.active.get(idx).copied().unwrap_or(false)
     }
 
     /// Schedules a wire event for `dest` at absolute time `at`.
-    fn schedule(&mut self, dest: usize, at: u64, wire: Wire<E>) {
+    fn schedule(&mut self, dest: usize, at: u64, wire: Wire) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(Reverse((at, seq, dest)));
         self.payloads.insert((at, seq, dest), wire);
     }
 
-    /// Puts one leg on the wire, letting the fault plan decide its fate.
-    fn transmit(&mut self, src: usize, dest: usize, wire: Wire<E>) {
-        let is_payload = matches!(wire, Wire::Raw(_) | Wire::Data(_));
+    /// Puts one frame on the wire toward `dest`, letting the fault plan
+    /// decide its fate. A leg that survives is encoded once; every copy
+    /// carries the same bytes.
+    fn transmit(&mut self, src: usize, dest: usize, frame: Frame<E>) {
+        let is_payload = matches!(frame, Frame::Data { .. });
         match self.fault_plan.sample(src, dest, self.stats.now, &mut self.rng) {
             LegFate::Partitioned => {
                 self.fault_stats.partitioned += 1;
@@ -386,10 +350,11 @@ impl<E: Element> SimNet<E> {
                 if extra_delay > 0 {
                     self.fault_stats.reordered += 1;
                 }
+                let bytes = encode_frame(&frame);
                 for _ in 0..copies {
                     let delay = self.latency.sample(&mut self.rng) + extra_delay;
                     let at = self.stats.now + delay;
-                    self.schedule(dest, at, wire.clone());
+                    self.schedule(dest, at, Wire::Leg(bytes.clone()));
                     if is_payload {
                         self.stats.sent += 1;
                         self.ledger.sent[dest] += 1;
@@ -406,41 +371,30 @@ impl<E: Element> SimNet<E> {
         if self.retry_pending[src] {
             return;
         }
-        let deadline = match &self.endpoints {
-            Some(eps) => eps[src].next_deadline(),
-            None => None,
-        };
-        if let Some(d) = deadline {
+        if let Some(d) = self.endpoints[src].next_deadline() {
             let at = d.max(self.stats.now);
             self.schedule(src, at, Wire::Retry { src });
             self.retry_pending[src] = true;
         }
     }
 
-    /// Sends `msg` from `from` to one destination, through the session
-    /// layer when reliability is on. Takes the shared allocation — all
-    /// legs of one broadcast pass the same `Arc` through here.
+    /// Sends `msg` from `from` to one destination through the session
+    /// layer. Takes the shared allocation — every send buffer entry of one
+    /// broadcast holds the same `Arc`.
     fn unicast(&mut self, from: usize, dest: usize, msg: Arc<Message<E>>) {
-        if self.endpoints.is_some() {
-            let now = self.stats.now;
-            let eps = self.endpoints.as_mut().expect("checked");
-            let pkt = eps[from].send(dest, msg, now);
-            if self.active[dest] {
-                self.transmit(from, dest, Wire::Data(pkt));
-                self.schedule_retry(from);
-            } else {
-                // Buffered for a possible rejoin; no timer while the
-                // destination cannot make progress.
-                eps[from].pause_stream_to(dest);
-            }
-        } else if self.active[dest] {
-            self.transmit(from, dest, Wire::Raw(msg));
+        let pkt = self.endpoints[from].send(dest, msg, self.stats.now);
+        if self.active[dest] {
+            self.transmit(from, dest, Frame::from_packet(self.sites[from].doc(), pkt));
+            self.schedule_retry(from);
+        } else {
+            // Buffered for a possible rejoin; no timer while the
+            // destination cannot make progress.
+            self.endpoints[from].pause_stream_to(dest);
         }
     }
 
     /// Broadcasts `msg`: allocates the shared payload once and fans the
-    /// `Arc` out to every peer leg (and, with reliability on, into every
-    /// retransmission buffer).
+    /// `Arc` out to every peer's send buffer.
     fn broadcast(&mut self, from: usize, msg: Message<E>) {
         self.broadcast_shared(from, Arc::new(msg));
     }
@@ -500,15 +454,16 @@ impl<E: Element> SimNet<E> {
         Ok(())
     }
 
-    /// A new user joins: replicates the state of `clone_from` (document,
-    /// logs, policy) under the new identity, and the administrator
-    /// registers them. Returns the new site index.
+    /// A new user joins: bootstraps from a binary snapshot of `donor`'s
+    /// replica (document, logs, policy), and the administrator registers
+    /// them. Returns the new site index.
     ///
     /// Admission control: joining means *reading* the whole document, so
     /// the newcomer must hold the read right under the policy as it will
     /// stand once they are registered (the paper keeps dynamic read-right
     /// changes out of scope but the static check belongs to membership).
-    pub fn join(&mut self, user: UserId, clone_from: usize) -> Result<usize, CoreError> {
+    pub fn join(&mut self, user: UserId, donor: usize) -> Result<usize, CoreError> {
+        self.check_site(donor)?;
         let mut prospective = self.sites[0].policy().clone();
         prospective.add_user(user);
         let read = Action::new(Right::Read, None);
@@ -516,10 +471,7 @@ impl<E: Element> SimNet<E> {
         if !decision.granted() {
             return Err(CoreError::AccessDenied { user, action: read, decision });
         }
-
-        self.check_site(clone_from)?;
-        let template = &self.sites[clone_from];
-        let site = template.rejoin_as(user);
+        let site = self.transfer(donor, user)?;
         self.push_site(site);
         let idx = self.sites.len() - 1;
         // Register the newcomer (idempotent if already present).
@@ -527,6 +479,13 @@ impl<E: Element> SimNet<E> {
             self.submit_admin(0, AdminOp::AddUser(user))?;
         }
         Ok(idx)
+    }
+
+    /// Rebuilds `donor`'s replica for `user` through the snapshot codec.
+    fn transfer(&self, donor: usize, user: UserId) -> Result<Site<E>, CoreError> {
+        let admin_id = self.sites[0].user();
+        crate::snapshot::transfer(&self.sites[donor], user, admin_id)
+            .map_err(|e| CoreError::Protocol(format!("snapshot transfer failed: {e}")))
     }
 
     /// Appends a site plus its per-site bookkeeping (active flag, session
@@ -537,11 +496,7 @@ impl<E: Element> SimNet<E> {
         self.active.push(true);
         self.retry_pending.push(false);
         self.ledger.grow();
-        let idx = self.sites.len() - 1;
-        let cfg = self.reliable_cfg;
-        if let Some(eps) = self.endpoints.as_mut() {
-            eps.push(Endpoint::new(idx, cfg));
-        }
+        self.endpoints.push(Endpoint::new(self.sites.len() - 1, ReliableConfig::default()));
     }
 
     /// A site leaves the group: no further messages are delivered to it.
@@ -561,7 +516,7 @@ impl<E: Element> SimNet<E> {
     /// dying stay in the per-peer send buffers and keep being
     /// retransmitted (the network does not forget them), and acks
     /// addressed to the dead site still settle those buffers. Rejoin with
-    /// [`SimNet::rejoin_via_snapshot`].
+    /// [`SimNet::rejoin`].
     pub fn crash_site(&mut self, idx: usize) -> Result<(), CoreError> {
         self.check_site(idx)?;
         self.active[idx] = false;
@@ -574,11 +529,9 @@ impl<E: Element> SimNet<E> {
     /// Stops every peer's retransmission timer toward `idx` (outstanding
     /// data stays buffered).
     fn pause_streams_to(&mut self, idx: usize) {
-        if let Some(eps) = self.endpoints.as_mut() {
-            for (i, ep) in eps.iter_mut().enumerate() {
-                if i != idx {
-                    ep.pause_stream_to(idx);
-                }
+        for (i, ep) in self.endpoints.iter_mut().enumerate() {
+            if i != idx {
+                ep.pause_stream_to(idx);
             }
         }
     }
@@ -605,16 +558,11 @@ impl<E: Element> SimNet<E> {
         total
     }
 
-    /// Hands one message to a live site and broadcasts whatever the site
-    /// emits in response. This is the one place a broadcast payload is
-    /// materialised per destination: [`Site::receive`] takes ownership, so
-    /// the shared `Arc` is deep-cloned exactly once per actual delivery
-    /// (never for legs lost to faults or parked in send buffers).
-    fn deliver(&mut self, dest: usize, msg: &Message<E>) {
-        let msg = match &self.transport {
-            Some(t) => t(msg),
-            None => msg.clone(),
-        };
+    /// Hands one decoded message to a live site and broadcasts whatever
+    /// the site emits in response.
+    fn deliver(&mut self, dest: usize, msg: Arc<Message<E>>) {
+        // Freshly decoded, so normally the only reference: no deep copy.
+        let msg = Arc::unwrap_or_clone(msg);
         let heartbeat = matches!(msg, Message::Heartbeat { .. });
         self.sites[dest].receive(msg).expect("protocol errors are bugs in the simulation");
         self.stats.delivered += 1;
@@ -640,67 +588,11 @@ impl<E: Element> SimNet<E> {
         self.obs.set_now(now);
         self.note_healed_partitions();
         match wire {
-            Wire::Raw(msg) => {
-                if self.active[dest] {
-                    self.deliver(dest, &msg);
-                } else {
-                    self.ledger.dead[dest] += 1;
-                }
-            }
-            Wire::Data(pkt) => {
-                let src = pkt.src;
-                let (deliverable, ack_back) = match self.endpoints.as_mut() {
-                    Some(eps) => {
-                        // The piggybacked ack settles `dest`'s send buffer
-                        // toward `src` even when `dest` is down: a ghost
-                        // endpoint's outbox drains so the run can quiesce.
-                        eps[dest].on_ack(src, pkt.ack_epoch, pkt.ack, now);
-                        if self.active[dest] {
-                            let out = eps[dest].on_data(src, pkt.epoch, pkt.seq, pkt.msg);
-                            // Ledger: a newer epoch voids held packets;
-                            // the leg itself is suppressed, parked, or
-                            // delivered (releasing `len - 1` held ones).
-                            self.ledger.held[dest] -= out.discarded;
-                            self.ledger.suppressed[dest] += out.discarded;
-                            if out.duplicate || out.displaced {
-                                self.ledger.suppressed[dest] += 1;
-                            } else if out.deliverable.is_empty() {
-                                self.ledger.held[dest] += 1;
-                            } else {
-                                self.ledger.held[dest] -= out.deliverable.len() as u64 - 1;
-                            }
-                            (out.deliverable, Some(eps[dest].ack_for(src)))
-                        } else {
-                            self.ledger.dead[dest] += 1;
-                            (Vec::new(), None)
-                        }
-                    }
-                    // Reliability switched off mid-flight: degrade to raw.
-                    None if self.active[dest] => (vec![pkt.msg], None),
-                    None => {
-                        self.ledger.dead[dest] += 1;
-                        (Vec::new(), None)
-                    }
-                };
-                for m in deliverable {
-                    self.deliver(dest, &m);
-                }
-                if let Some((epoch, cum)) = ack_back {
-                    self.transmit(dest, src, Wire::Ack { from: dest, epoch, cum });
-                }
-            }
-            Wire::Ack { from, epoch, cum } => {
-                if let Some(eps) = self.endpoints.as_mut() {
-                    eps[dest].on_ack(from, epoch, cum, now);
-                }
-            }
+            Wire::Leg(bytes) => self.receive_leg(dest, &bytes, now),
             Wire::Retry { src } => {
                 self.retry_pending[src] = false;
-                let resends = match self.endpoints.as_mut() {
-                    Some(eps) => eps[src].due_retransmissions(now),
-                    None => Vec::new(),
-                };
-                for (peer, pkt) in resends {
+                let doc = self.sites[src].doc();
+                for (peer, pkt) in self.endpoints[src].due_retransmissions(now) {
                     if self.active[peer] {
                         self.fault_stats.retransmitted += 1;
                         let kind = EventKind::StreamRetransmit {
@@ -710,13 +602,59 @@ impl<E: Element> SimNet<E> {
                             req: pkt.msg.coop_req_id(),
                         };
                         self.obs.emit(src as u32, 0, kind);
-                        self.transmit(src, peer, Wire::Data(pkt));
+                        self.transmit(src, peer, Frame::from_packet(doc, pkt));
                     }
                 }
                 self.schedule_retry(src);
             }
         }
         true
+    }
+
+    /// Parses one leg at `dest` and hands it to the session layer: a data
+    /// packet's piggybacked ack, then the packet itself (answered with a
+    /// standalone ack), or a standalone ack.
+    fn receive_leg(&mut self, dest: usize, bytes: &[u8], now: u64) {
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(bytes);
+        let frame =
+            decoder.next::<E>().expect("every leg decodes").expect("every leg is one whole frame");
+        match frame {
+            Frame::Data { src, epoch, seq, ack_epoch, ack, msg, .. } => {
+                let src = src as usize;
+                // The piggybacked ack settles `dest`'s send buffer toward
+                // `src` even when `dest` is down: a ghost endpoint's
+                // outbox drains so the run can quiesce.
+                self.endpoints[dest].on_ack(src, ack_epoch, ack, now);
+                if !self.active[dest] {
+                    self.ledger.dead[dest] += 1;
+                    return;
+                }
+                let out = self.endpoints[dest].on_data(src, epoch, seq, msg);
+                // Ledger: a newer epoch voids held packets; the leg itself
+                // is suppressed, parked, or delivered (releasing `len - 1`
+                // held ones).
+                self.ledger.held[dest] -= out.discarded;
+                self.ledger.suppressed[dest] += out.discarded;
+                if out.duplicate || out.displaced {
+                    self.ledger.suppressed[dest] += 1;
+                } else if out.deliverable.is_empty() {
+                    self.ledger.held[dest] += 1;
+                } else {
+                    self.ledger.held[dest] -= out.deliverable.len() as u64 - 1;
+                }
+                for m in out.deliverable {
+                    self.deliver(dest, m);
+                }
+                let (epoch, cum) = self.endpoints[dest].ack_for(src);
+                let doc = self.sites[dest].doc();
+                self.transmit(dest, src, Frame::Ack { doc, from: dest as u32, epoch, cum });
+            }
+            Frame::Ack { from, epoch, cum, .. } => {
+                self.endpoints[dest].on_ack(from as usize, epoch, cum, now);
+            }
+            other => unreachable!("the simulator sends only data and ack frames: {other:?}"),
+        }
     }
 
     /// Runs until no messages remain in flight.
@@ -884,32 +822,6 @@ impl<E: Element> SimNet<E> {
             panic!("{why}");
         }
     }
-}
-
-impl<E: Element + crate::wire::WireElement + Send + 'static> SimNet<E> {
-    /// Like [`SimNet::join`], but the newcomer bootstraps from a *binary
-    /// snapshot* of the donor replica — the realistic state-transfer path,
-    /// exercising the full snapshot codec.
-    pub fn join_via_snapshot(&mut self, user: UserId, donor: usize) -> Result<usize, CoreError> {
-        self.check_site(donor)?;
-        let mut prospective = self.sites[0].policy().clone();
-        prospective.add_user(user);
-        let read = Action::new(Right::Read, None);
-        let decision = prospective.check(user, &read);
-        if !decision.granted() {
-            return Err(CoreError::AccessDenied { user, action: read, decision });
-        }
-        let admin_id = self.sites[0].user();
-        let bytes = crate::snapshot::encode_snapshot(&self.sites[donor]);
-        let site = crate::snapshot::decode_snapshot(bytes, user, admin_id)
-            .map_err(|e| CoreError::Protocol(format!("snapshot transfer failed: {e}")))?;
-        self.push_site(site);
-        let idx = self.sites.len() - 1;
-        if !self.sites[0].policy().has_user(user) {
-            self.submit_admin(0, AdminOp::AddUser(user))?;
-        }
-        Ok(idx)
-    }
 
     /// Brings a crashed site back under its original identity, bootstrapped
     /// from a binary snapshot of `donor`'s replica.
@@ -925,7 +837,7 @@ impl<E: Element + crate::wire::WireElement + Send + 'static> SimNet<E> {
     ///   fresh edits cannot reuse a request id) and to every peer;
     /// * the rebuilt site starts with a fresh endpoint, and peers forget
     ///   their receive state for it, so both directions renumber cleanly.
-    pub fn rejoin_via_snapshot(&mut self, idx: usize, donor: usize) -> Result<(), CoreError> {
+    pub fn rejoin(&mut self, idx: usize, donor: usize) -> Result<(), CoreError> {
         self.check_site(donor)?;
         if idx >= self.sites.len() {
             return Err(CoreError::Protocol(format!("no such site {idx}")));
@@ -933,43 +845,37 @@ impl<E: Element + crate::wire::WireElement + Send + 'static> SimNet<E> {
         if self.active[idx] {
             return Err(CoreError::Protocol(format!("site {idx} has not crashed")));
         }
-        let user = self.sites[idx].user();
-        let admin_id = self.sites[0].user();
-        let bytes = crate::snapshot::encode_snapshot(&self.sites[donor]);
-        let site = crate::snapshot::decode_snapshot(bytes, user, admin_id)
-            .map_err(|e| CoreError::Protocol(format!("snapshot transfer failed: {e}")))?;
-        self.sites[idx] = site;
+        self.sites[idx] = self.transfer(donor, self.sites[idx].user())?;
         self.sites[idx].set_observability(self.obs.clone());
         self.active[idx] = true;
         self.obs.emit(idx as u32, 0, EventKind::SiteRejoined { site: idx as u32 });
 
-        let mut ghost_backlog = Vec::new();
-        if let Some(eps) = self.endpoints.as_mut() {
-            ghost_backlog = eps[idx].unacked_messages();
-            // A fresh `Endpoint::new` would restart every epoch at 0 and
-            // collide with stale pre-crash traffic still in flight;
-            // `reset_after_rejoin` bumps the epochs past it instead.
-            // Held packets thrown away with the receiver state move from
-            // `held` to `suppressed` in the ledger.
-            let discarded = eps[idx].reset_after_rejoin();
-            self.ledger.held[idx] -= discarded;
-            self.ledger.suppressed[idx] += discarded;
-            let now = self.stats.now;
-            for (i, ep) in eps.iter_mut().enumerate() {
-                if i != idx {
-                    ep.restart_stream_to(idx, now);
-                    let discarded = ep.reset_rx_from(idx);
-                    self.ledger.held[i] -= discarded;
-                    self.ledger.suppressed[i] += discarded;
-                }
+        let ghost_backlog = self.endpoints[idx].unacked_messages();
+        // A fresh `Endpoint::new` would restart every epoch at 0 and
+        // collide with stale pre-crash traffic still in flight;
+        // `reset_after_rejoin` bumps the epochs past it instead. Held
+        // packets thrown away with the receiver state move from `held` to
+        // `suppressed` in the ledger.
+        let discarded = self.endpoints[idx].reset_after_rejoin();
+        self.ledger.held[idx] -= discarded;
+        self.ledger.suppressed[idx] += discarded;
+        let now = self.stats.now;
+        for (i, ep) in self.endpoints.iter_mut().enumerate() {
+            if i != idx {
+                ep.restart_stream_to(idx, now);
+                let discarded = ep.reset_rx_from(idx);
+                self.ledger.held[i] -= discarded;
+                self.ledger.suppressed[i] += discarded;
             }
-            for i in 0..self.sites.len() {
-                if i != idx && self.active[i] {
-                    self.schedule_retry(i);
-                }
+        }
+        for i in 0..self.sites.len() {
+            if i != idx && self.active[i] {
+                self.schedule_retry(i);
             }
         }
         for msg in ghost_backlog {
+            // A local replay into the site's own replica, not a network
+            // leg; the re-broadcast below travels as frames like any send.
             self.sites[idx]
                 .receive((*msg).clone())
                 .expect("replaying own pre-crash traffic is safe");
@@ -980,17 +886,6 @@ impl<E: Element + crate::wire::WireElement + Send + 'static> SimNet<E> {
             self.broadcast_shared(idx, msg);
         }
         Ok(())
-    }
-
-    /// Routes every delivery through the binary wire codec
-    /// ([`crate::wire`]): messages are encoded to bytes and decoded back
-    /// before reception, exactly as a real deployment would ship them.
-    /// Exercises the codec end-to-end under protocol load.
-    pub fn enable_wire_codec(&mut self) {
-        self.transport = Some(Box::new(|msg: &Message<E>| {
-            let bytes = crate::wire::encode_message(msg);
-            crate::wire::decode_message(bytes).expect("wire codec round-trips every message")
-        }));
     }
 }
 
@@ -1146,23 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_join_equals_clone_join() {
-        let mut sim = net(2, "abc", 19, Latency::Fixed(4));
-        sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
-        sim.run_to_quiescence();
-        let a = sim.join(7, 0).unwrap();
-        let b = sim.join_via_snapshot(8, 0).unwrap();
-        sim.run_to_quiescence();
-        assert_eq!(sim.site(a).document(), sim.site(b).document());
-        assert_eq!(sim.site(a).policy().version(), sim.site(b).policy().version());
-        // Both newcomers edit; group converges.
-        sim.submit_coop(a, Op::ins(1, 'p')).unwrap();
-        sim.submit_coop(b, Op::ins(1, 'q')).unwrap();
-        sim.run_to_quiescence();
-        assert!(sim.converged());
-    }
-
-    #[test]
     fn heartbeat_gossip_enables_group_wide_compaction() {
         let mut sim = net(3, "", 61, Latency::Fixed(3));
         sim.submit_coop(1, Op::ins(1, 'a')).unwrap();
@@ -1180,38 +1058,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_codec_transport_is_transparent() {
-        let run = |wire: bool| {
-            let mut sim = net(3, "shared", 29, Latency::Uniform(1, 80));
-            if wire {
-                sim.enable_wire_codec();
-            }
-            sim.submit_coop(1, Op::ins(1, 'α')).unwrap();
-            sim.submit_coop(2, Op::del(4, 'r')).unwrap();
-            sim.submit_admin(
-                0,
-                AdminOp::AddAuth {
-                    pos: 0,
-                    auth: Authorization::new(
-                        Subject::User(2),
-                        DocObject::Document,
-                        [Right::Update],
-                        Sign::Minus,
-                    ),
-                },
-            )
-            .unwrap();
-            sim.run_to_quiescence();
-            assert!(sim.converged());
-            sim.site(0).document().to_string()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn duplicate_deliveries_are_suppressed() {
         let mut sim = net(3, "abc", 41, Latency::Uniform(1, 50));
-        sim.set_duplication(0.9);
+        sim.set_fault_plan(FaultPlan::none().with_duplicates(0.9));
         sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
         sim.submit_coop(2, Op::ins(4, 'y')).unwrap();
         sim.run_to_quiescence();
@@ -1237,42 +1086,15 @@ mod tests {
     }
 
     #[test]
-    fn reliability_is_transparent_on_a_clean_network() {
-        let run = |reliable: bool| {
-            let mut sim = net(3, "abc", 23, Latency::Uniform(1, 60));
-            if reliable {
-                sim.enable_reliability();
-            }
-            sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
-            sim.submit_coop(2, Op::del(3, 'c')).unwrap();
-            sim.run_to_quiescence();
-            assert!(sim.converged());
-            sim.site(0).document().to_string()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn drops_lose_edits_without_reliability_and_not_with_it() {
-        let lossy = FaultPlan::none().with_drops(0.5);
-        // Without the session layer, a dropped broadcast leg is gone.
-        let mut bare = net(3, "abc", 97, Latency::Fixed(5));
-        bare.set_fault_plan(lossy.clone());
-        for i in 0..6 {
-            bare.submit_coop(1, Op::ins(1, char::from(b'a' + i))).unwrap();
-        }
-        bare.run_to_quiescence();
-        assert!(bare.fault_stats().dropped > 0, "the plan did fire");
-
-        // With it, everything arrives and the group converges.
+    fn dropped_legs_are_retransmitted() {
         let mut sim = net(3, "abc", 97, Latency::Fixed(5));
-        sim.set_fault_plan(lossy);
-        sim.enable_reliability();
+        sim.set_fault_plan(FaultPlan::none().with_drops(0.5));
         for i in 0..6 {
             sim.submit_coop(1, Op::ins(1, char::from(b'a' + i))).unwrap();
         }
         sim.run_to_quiescence();
         sim.assert_converged(97);
+        assert!(sim.fault_stats().dropped > 0, "the plan did fire");
         assert!(sim.fault_stats().retransmitted > 0, "losses were repaired");
         assert_eq!(sim.site(0).document().len(), 9);
     }
@@ -1281,7 +1103,6 @@ mod tests {
     fn partition_heals_through_retransmission() {
         let mut sim = net(4, "abc", 31, Latency::Fixed(10));
         sim.set_fault_plan(FaultPlan::none().with_partition([3], 0, 5_000));
-        sim.enable_reliability();
         sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
         sim.submit_coop(3, Op::ins(4, 'y')).unwrap();
         sim.run_to_quiescence();
@@ -1294,7 +1115,6 @@ mod tests {
     #[test]
     fn crash_and_snapshot_rejoin_catches_up() {
         let mut sim = net(3, "abc", 53, Latency::Fixed(5));
-        sim.enable_reliability();
         sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
         sim.run_to_quiescence();
         sim.crash_site(2).unwrap();
@@ -1303,7 +1123,7 @@ mod tests {
         sim.submit_coop(1, Op::del(4, 'c')).unwrap();
         sim.run_to_quiescence();
         assert_eq!(sim.site(2).document().to_string(), "xabc", "dead replica is stale");
-        sim.rejoin_via_snapshot(2, 0).unwrap();
+        sim.rejoin(2, 0).unwrap();
         sim.run_to_quiescence();
         sim.assert_converged(53);
         assert_eq!(sim.site(2).document().to_string(), "yxab");
@@ -1317,7 +1137,6 @@ mod tests {
     #[test]
     fn crashed_sites_in_flight_requests_survive_the_crash() {
         let mut sim = net(3, "abc", 71, Latency::Fixed(20));
-        sim.enable_reliability();
         // Site 2 edits, then dies before anyone acknowledges.
         sim.submit_coop(2, Op::ins(1, 'q')).unwrap();
         sim.crash_site(2).unwrap();
@@ -1326,7 +1145,7 @@ mod tests {
         assert_eq!(sim.site(0).document().to_string(), "qabc");
         assert_eq!(sim.site(1).document().to_string(), "qabc");
         // And the rejoined site recovers its own pre-crash edit.
-        sim.rejoin_via_snapshot(2, 1).unwrap();
+        sim.rejoin(2, 1).unwrap();
         sim.run_to_quiescence();
         sim.assert_converged(71);
         assert_eq!(sim.site(2).document().to_string(), "qabc");
@@ -1336,7 +1155,6 @@ mod tests {
     fn ledger_balances_under_chaos() {
         let mut sim = net(3, "abc", 97, Latency::Fixed(5));
         sim.set_fault_plan(FaultPlan::none().with_drops(0.4).with_duplicates(0.3));
-        sim.enable_reliability();
         for i in 0..5 {
             sim.submit_coop(1, Op::ins(1, char::from(b'a' + i))).unwrap();
         }
@@ -1354,7 +1172,6 @@ mod tests {
         let mut sim = net(3, "abc", 13, Latency::Fixed(5));
         sim.enable_observability(obs.clone());
         sim.set_fault_plan(FaultPlan::none().with_drops(0.5));
-        sim.enable_reliability();
         sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
         sim.run_to_quiescence();
         sim.assert_converged(13);

@@ -157,7 +157,9 @@ pub fn decode_snapshot<E: Element + WireElement>(
     }
 
     let clock = decode_clock(&mut buf)?;
-    let pruned: HashSet<RequestId> = decode_id_list(&mut buf)?.into_iter().collect();
+    let pruned = decode_id_list(&mut buf)?;
+    strictly_ascending(pruned.iter())?;
+    let pruned: HashSet<RequestId> = pruned.into_iter().collect();
     let pruned_count = get_u64(&mut buf)? as usize;
     let policy = decode_policy(&mut buf)?;
 
@@ -187,6 +189,7 @@ pub fn decode_snapshot<E: Element + WireElement>(
         };
         flags.push((id, flag));
     }
+    strictly_ascending(flags.iter().map(|(id, _)| id))?;
 
     let n_tentative = get_u64(&mut buf)? as usize;
     let mut tentative_v = Vec::with_capacity(n_tentative.min(1 << 20));
@@ -195,8 +198,12 @@ pub fn decode_snapshot<E: Element + WireElement>(
         let v = get_u64(&mut buf)?;
         tentative_v.push((id, v));
     }
+    strictly_ascending(tentative_v.iter().map(|(id, _)| id))?;
 
     let flags_pruned_fold = get_u64(&mut buf)?;
+    if !buf.is_empty() {
+        return Err(WireError::BadHeader);
+    }
 
     Ok(Site::from_snapshot_parts(
         new_user,
@@ -213,6 +220,16 @@ pub fn decode_snapshot<E: Element + WireElement>(
         flags_pruned_fold,
     )
     .with_document(doc))
+}
+
+/// The encoder writes every id-keyed section sorted by id, so anything
+/// out of order or repeated is not a snapshot it produced.
+fn strictly_ascending<'a>(ids: impl Iterator<Item = &'a RequestId>) -> Result<()> {
+    if ids.is_sorted_by(|a, b| a < b) {
+        Ok(())
+    } else {
+        Err(WireError::BadHeader)
+    }
 }
 
 /// Convenience: snapshot `donor` and rebuild it as a replica for
@@ -311,7 +328,7 @@ mod tests {
     #[test]
     fn snapshot_carries_the_document_id() {
         let (adm, _) = busy_site();
-        let tagged = adm.rejoin_as(0).with_document(DocumentId::new(77));
+        let tagged = adm.with_document(DocumentId::new(77));
         let restored = transfer(&tagged, 9, 0).unwrap();
         assert_eq!(restored.doc(), DocumentId::new(77));
         assert_eq!(restored.document(), tagged.document());
@@ -334,12 +351,39 @@ mod tests {
     fn an_out_of_range_document_id_is_rejected() {
         let (adm, _) = busy_site();
         // Layout: magic, version, u32 user, u64 document id.
-        let mut bytes =
-            encode_snapshot(&adm.rejoin_as(0).with_document(DocumentId::new(MAX_DOC_ID))).to_vec();
+        let mut bytes = encode_snapshot(&adm.with_document(DocumentId::new(MAX_DOC_ID))).to_vec();
         assert!(decode_snapshot::<Char>(Bytes::from(bytes.clone()), 9, 0).is_ok());
         bytes[6..14].copy_from_slice(&(MAX_DOC_ID + 1).to_le_bytes());
         let err = decode_snapshot::<Char>(Bytes::from(bytes), 9, 0).unwrap_err();
         assert_eq!(err, WireError::BadDocument(MAX_DOC_ID + 1));
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_fold_are_rejected() {
+        let (adm, _) = busy_site();
+        let mut bytes = encode_snapshot(&adm).to_vec();
+        bytes.push(0);
+        let err = decode_snapshot::<Char>(Bytes::from(bytes), 9, 0).unwrap_err();
+        assert_eq!(err, WireError::BadHeader);
+    }
+
+    #[test]
+    fn swapped_flag_rows_are_rejected() {
+        let (adm, _) = busy_site();
+        let (.., flags, tentative, _) = adm.snapshot_parts();
+        assert!(flags.len() >= 2, "the fixture holds several flags");
+        let bytes = encode_snapshot(&adm).to_vec();
+        // Layout tail: flag rows (12-byte id + 1-byte flag), the tentative
+        // section (u64 count, 20-byte rows), the u64 fold.
+        const ROW: usize = 13;
+        let rows_end = bytes.len() - 8 - (8 + 20 * tentative.len());
+        let first = rows_end - ROW * flags.len();
+        let mut swapped = bytes.clone();
+        swapped[first..first + ROW].copy_from_slice(&bytes[first + ROW..first + 2 * ROW]);
+        swapped[first + ROW..first + 2 * ROW].copy_from_slice(&bytes[first..first + ROW]);
+        assert_ne!(swapped, bytes);
+        let err = decode_snapshot::<Char>(Bytes::from(swapped), 9, 0).unwrap_err();
+        assert_eq!(err, WireError::BadHeader);
     }
 
     #[test]

@@ -36,7 +36,6 @@ fn busy_session() -> SimNet<Char> {
         Latency::Uniform(1, 40),
     );
     sim.set_fault_plan(FaultPlan::none().with_drops(0.2).with_duplicates(0.1));
-    sim.enable_reliability();
     sim.submit_coop(1, Op::ins(1, 'x')).unwrap();
     sim.submit_coop(2, Op::del(3, 'a')).unwrap();
     sim.submit_admin(

@@ -380,14 +380,6 @@ impl<E: Element> Engine<E> {
         self.site
     }
 
-    /// Rebinds the engine to a new site identity — used when a joining
-    /// user bootstraps from a snapshot of an existing replica. Future
-    /// local requests are issued under the new identity, continuing from
-    /// whatever sequence number the clock already records for it.
-    pub fn rebind_site(&mut self, site: SiteId) {
-        self.site = site;
-    }
-
     /// Materializes the current visible document.
     pub fn document(&self) -> Document<E> {
         self.buf.visible()

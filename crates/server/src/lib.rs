@@ -524,16 +524,7 @@ impl Server {
             worked = true;
         }
         if self.obs.enabled() {
-            let mut backlog = 0u64;
-            for conn in self.conns.iter().flatten() {
-                backlog += conn.out.len() as u64;
-                if let Some((sid, user)) = conn.identity {
-                    self.obs.set_gauge(
-                        &format!("server.backlog_bytes.s{sid}u{user}"),
-                        conn.out.len() as u64,
-                    );
-                }
-            }
+            let backlog = self.conns.iter().flatten().map(|c| c.out.len() as u64).sum();
             self.obs.set_gauge("server.backlog_bytes", backlog);
             self.obs.set_gauge("server.connections", self.conns.iter().flatten().count() as u64);
             self.obs.set_gauge("server.sessions", self.sessions.len() as u64);

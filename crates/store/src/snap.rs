@@ -91,10 +91,14 @@ fn parse<E: Element + WireElement>(mut buf: Bytes) -> Result<(Site<E>, u64), Sto
 
     let n_clocks = get_u32(&mut buf)? as usize;
     let mut peer_clocks: HashMap<UserId, Clock> = HashMap::with_capacity(n_clocks.min(1 << 16));
+    let mut prev = None;
     for _ in 0..n_clocks {
         let u = get_u32(&mut buf)?;
-        let c = decode_clock(&mut buf)?;
-        peer_clocks.insert(u, c);
+        // Encoded in ascending user order; anything else is not ours.
+        if prev.replace(u) >= Some(u) {
+            return Err(StoreError::Codec("peer clocks out of user order".into()));
+        }
+        peer_clocks.insert(u, decode_clock(&mut buf)?);
     }
     let denials = decode_id_list(&mut buf)?;
     let undone = decode_id_list(&mut buf)?;
@@ -207,7 +211,7 @@ mod tests {
 
     #[test]
     fn an_envelope_naming_another_document_is_rejected() {
-        let site = busy_site().rejoin_as(0).with_document(DocumentId::new(5));
+        let site = busy_site().with_document(DocumentId::new(5));
         let mut bytes = encode_store_snapshot(&site, 0, 3);
         bytes[ENVELOPE_DOC].copy_from_slice(&6u64.to_le_bytes());
         let err = decode_store_snapshot::<Char>(&reseal(bytes), &PathBuf::from("t.snap"));

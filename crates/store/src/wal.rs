@@ -216,32 +216,23 @@ pub fn encode_record<E: WireElement>(rec: &RecordRef<'_, E>, out: &mut BytesMut)
 fn decode_body<E: WireElement>(mut body: Bytes) -> Result<Record<E>, StoreError> {
     let kind = wire::get_u8(&mut body)?;
     let rec = match kind {
-        0 => Record::Remote(wire::decode_message(body)?),
-        1 => {
-            let op = wire::decode_op(&mut body)?;
-            let id = wire::decode_request_id(&mut body)?;
-            let v = wire::get_u64(&mut body)?;
-            if !body.is_empty() {
-                return Err(StoreError::Codec("trailing bytes after coop record".into()));
-            }
-            Record::LocalCoop { op, id, v }
-        }
-        2 => {
-            let op = wire::decode_admin_op(&mut body)?;
-            let version = wire::get_u64(&mut body)?;
-            if !body.is_empty() {
-                return Err(StoreError::Codec("trailing bytes after admin record".into()));
-            }
-            Record::LocalAdmin { op, version }
-        }
-        3 => {
-            if !body.is_empty() {
-                return Err(StoreError::Codec("trailing bytes after compact record".into()));
-            }
-            Record::Compact
-        }
+        // The message codec rejects its own trailing bytes.
+        0 => return Ok(Record::Remote(wire::decode_message(body)?)),
+        1 => Record::LocalCoop {
+            op: wire::decode_op(&mut body)?,
+            id: wire::decode_request_id(&mut body)?,
+            v: wire::get_u64(&mut body)?,
+        },
+        2 => Record::LocalAdmin {
+            op: wire::decode_admin_op(&mut body)?,
+            version: wire::get_u64(&mut body)?,
+        },
+        3 => Record::Compact,
         k => return Err(StoreError::Codec(format!("unknown record kind {k}"))),
     };
+    if !body.is_empty() {
+        return Err(StoreError::Codec(format!("trailing bytes after a kind-{kind} record")));
+    }
     Ok(rec)
 }
 

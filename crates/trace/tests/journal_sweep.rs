@@ -33,7 +33,6 @@ fn busy_journal() -> (Vec<Event>, ObsHandle) {
         Latency::Uniform(1, 40),
     );
     sim.set_fault_plan(FaultPlan::none().with_drops(0.2).with_duplicates(0.1));
-    sim.enable_reliability();
     let obs = ObsHandle::recording(1 << 12);
     sim.enable_observability(obs.clone());
     sim.submit_coop(1, Op::ins(1, 'x')).unwrap();

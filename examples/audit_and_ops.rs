@@ -19,10 +19,6 @@ fn main() {
         7,
         Latency::Uniform(2, 80),
     );
-    // Ship every message through the binary wire codec, as a deployment
-    // would.
-    sim.enable_wire_codec();
-
     // Normal work plus one rogue edit under a concurrent revocation.
     sim.submit_coop(1, Op::ins(1, '>')).unwrap();
     sim.submit_admin(
@@ -76,7 +72,7 @@ fn main() {
     let bytes = snapshot::encode_snapshot(sim.site(0));
     println!();
     println!("== snapshot transfer: {} bytes for the full replica ==", bytes.len());
-    let idx = sim.join_via_snapshot(9, 0).unwrap();
+    let idx = sim.join(9, 0).unwrap();
     sim.run_to_quiescence();
     println!("   newcomer (user 9) sees {:?}", sim.site(idx).document().to_string());
     sim.submit_coop(idx, Op::ins(1, '#')).unwrap();

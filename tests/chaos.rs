@@ -36,7 +36,6 @@ fn chaos_session(seed: u64, compaction: Option<usize>) -> (String, usize, u64, u
             .with_reordering(0.10, 300)
             .with_partition([4], 2_000, 7_000),
     );
-    sim.enable_reliability();
     if let Some(wm) = compaction {
         sim.enable_compaction(wm);
     }
@@ -53,7 +52,7 @@ fn chaos_session(seed: u64, compaction: Option<usize>) -> (String, usize, u64, u
             crashed = true;
         }
         if round == 16 {
-            sim.rejoin_via_snapshot(CRASHED, 0).unwrap();
+            sim.rejoin(CRASHED, 0).unwrap();
             rejoined = true;
         }
 
@@ -193,7 +192,6 @@ fn chaos_event_ledger_balances() {
     sim.set_fault_plan(
         FaultPlan::none().with_drops(0.20).with_duplicates(0.10).with_reordering(0.10, 200),
     );
-    sim.enable_reliability();
     let mut rng = StdRng::seed_from_u64(seed);
 
     for round in 0..10u32 {
@@ -272,9 +270,9 @@ fn chaos_event_ledger_balances() {
     }
 }
 
-/// Under the chaotic transport, every message additionally rides through
-/// the binary wire codec (encode → bytes → decode per delivery), and all
-/// four `Message` kinds cross the network: cooperative requests and
+/// Under the chaotic transport, where every leg rides as an encoded
+/// frame (encode → bytes → decode per delivery), all four `Message`
+/// kinds cross the network: cooperative requests and
 /// validations (admin), a delegated proposal, and heartbeats. On top of
 /// the in-band exercise, each kind is round-tripped explicitly.
 fn codec_chaos_session(seed: u64) {
@@ -289,8 +287,6 @@ fn codec_chaos_session(seed: u64) {
     sim.set_fault_plan(
         FaultPlan::none().with_drops(0.25).with_duplicates(0.15).with_reordering(0.15, 200),
     );
-    sim.enable_reliability();
-    sim.enable_wire_codec();
     let mut rng = StdRng::seed_from_u64(seed);
 
     // A delegation so a Proposal message crosses the wire too.

@@ -1,9 +1,11 @@
 //! Long-running randomized stress: many sites, heavy churn, heartbeat
-//! compaction mid-flight, wire-codec transport — the whole stack at once.
+//! compaction mid-flight, duplicated legs over the framed session layer —
+//! the whole stack at once.
 //! Kept bounded (a few seconds) so it runs in every `cargo test`.
 
 use dce::document::{CharDocument, Op};
 use dce::net::sim::{Latency, SimNet};
+use dce::net::FaultPlan;
 use dce::policy::{AdminOp, Authorization, DocObject, Policy, Right, Sign, Subject};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,12 +21,7 @@ fn mixed_stress_with_compaction_and_wire_codec() {
             seed,
             Latency::Uniform(1, 400),
         );
-        if std::env::var("NO_CODEC").is_err() {
-            sim.enable_wire_codec();
-        }
-        if std::env::var("NO_DUP").is_err() {
-            sim.set_duplication(0.1);
-        }
+        sim.set_fault_plan(FaultPlan::none().with_duplicates(0.1));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
 
         for round in 0..30 {
@@ -71,7 +68,7 @@ fn mixed_stress_with_compaction_and_wire_codec() {
                 }
             }
             // Periodic heartbeat + compaction while traffic is in flight.
-            if round % 10 == 9 && std::env::var("NO_COMPACT").is_err() {
+            if round % 10 == 9 {
                 sim.gossip_heartbeats();
                 sim.run_to_quiescence();
                 sim.auto_compact_all();
@@ -164,7 +161,7 @@ fn snapshot_joins_during_churn() {
             // messages are still in flight.
             sim.run_to_quiescence(); // settle so the snapshot is coherent
             let donor = rng.gen_range(0..sim.len());
-            let idx = sim.join_via_snapshot(next_user, donor).unwrap();
+            let idx = sim.join(next_user, donor).unwrap();
             next_user += 1;
             let _ = sim.submit_coop(idx, Op::ins(1, '#'));
         }

@@ -144,7 +144,7 @@ fn fig4_replay_merges_into_a_sound_dag() {
 
 /// One seeded chaos session with a recording handle attached; returns
 /// the journal (complete — the ring is sized for the whole run).
-fn chaos_journal(seed: u64, reliable: bool, obs: &ObsHandle) -> SimNet<Char> {
+fn chaos_journal(seed: u64, obs: &ObsHandle) -> SimNet<Char> {
     let users: Vec<u32> = (0..4).collect();
     let mut sim: SimNet<Char> = SimNet::group(
         4,
@@ -157,9 +157,6 @@ fn chaos_journal(seed: u64, reliable: bool, obs: &ObsHandle) -> SimNet<Char> {
     sim.set_fault_plan(
         FaultPlan::none().with_drops(0.25).with_duplicates(0.05).with_reordering(0.05, 200),
     );
-    if reliable {
-        sim.enable_reliability();
-    }
     let mut rng = StdRng::seed_from_u64(seed);
     for round in 0..10u32 {
         for site in 0..4usize {
@@ -192,7 +189,7 @@ fn chaos_journal(seed: u64, reliable: bool, obs: &ObsHandle) -> SimNet<Char> {
 fn chaos_session_journal_correlates_into_spans() {
     const SEED: u64 = 0xC0_44E1A7E;
     let obs = ObsHandle::recording(1 << 16);
-    let sim = chaos_journal(SEED, true, &obs);
+    let sim = chaos_journal(SEED, &obs);
     sim.assert_converged(SEED);
     let events = obs.events();
     assert_eq!(obs.overflowed(), 0, "ring sized for the whole session");
@@ -230,9 +227,9 @@ fn chaos_session_journal_correlates_into_spans() {
 
 #[test]
 fn injected_divergence_leaves_a_replayable_flight_dump() {
-    // Same chaos workload, but with the reliable-delivery layer OFF: the
-    // 25% drop rate loses requests outright and the sites diverge. The
-    // armed flight recorder must capture the evidence before the panic.
+    // Same chaos workload, then one edit made at site 1 and never
+    // broadcast: the sites diverge. The armed flight recorder must
+    // capture the evidence before the panic.
     const SEED: u64 = 0xF11_6447;
     let dir = std::path::Path::new("results");
     let path = dce::trace::flight_path(dir, SEED);
@@ -240,11 +237,12 @@ fn injected_divergence_leaves_a_replayable_flight_dump() {
 
     let obs = ObsHandle::recording(1 << 16);
     dce::trace::arm(&obs, SEED, dir);
-    let sim = chaos_journal(SEED, false, &obs);
+    let mut sim = chaos_journal(SEED, &obs);
+    sim.site_mut(1).generate(Op::ins(1, 'z')).unwrap();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sim.assert_converged(SEED);
     }));
-    assert!(outcome.is_err(), "dropping 25% of traffic without reliability diverges");
+    assert!(outcome.is_err(), "an edit that never left its site diverges");
 
     // The dump exists, names the seed that replays it, and its journal
     // round-trips into the same (still sound) trace.
