@@ -18,10 +18,10 @@
 //!
 //! The exploration is an explicit work-stack DFS (no recursion, bounded
 //! only by the scenario) with sleep-set partial-order reduction and
-//! behavioral-digest state dedupe — see [`explore`] and the module docs
-//! of [`mod@explore`]. The first violation is greedily delta-debugged
-//! into a 1-minimal, replayable [`Schedule`] suitable for pinning as a
-//! regression (see `crates/check/tests/regressions.rs`).
+//! behavioral-digest state dedupe — see [`explore`] and the docs of the
+//! private `explore` module. The first violation is greedily
+//! delta-debugged into a 1-minimal, replayable [`Schedule`] suitable for
+//! pinning as a regression (see `crates/check/tests/regressions.rs`).
 //!
 //! ```
 //! use dce_check::{explore, Scenario, Verdict};

@@ -163,7 +163,7 @@ fn main() {
     println!("--- buffers ---");
     for (i, s) in sites.iter().enumerate() {
         println!("s{i}:");
-        for (p, cell) in s.engine().buffer().cells().iter().enumerate() {
+        for (p, cell) in s.engine().buffer().cells().enumerate() {
             let chain: Vec<String> = cell
                 .chain
                 .iter()

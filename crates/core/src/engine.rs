@@ -47,8 +47,8 @@ pub const COMPACT_WATERMARK: usize = 192;
 /// * [`ShardStore::journal_remote`] runs *before* the message is applied,
 ///   so a crash mid-apply replays it (application is deterministic —
 ///   including its errors — so replay converges on the same state);
-/// * [`ShardStore::journal_local_coop`] / [`journal_local_admin`]
-///   (`journal_local_admin`: [`ShardStore::journal_local_admin`]) run
+/// * [`ShardStore::journal_local_coop`] /
+///   [`ShardStore::journal_local_admin`] run
 ///   *after* a successful generation, recording the visible-coordinate
 ///   input plus the identity the generation produced, so recovery can
 ///   re-execute it and assert the replay did not diverge;

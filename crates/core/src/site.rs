@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// One collaborating site: a user (or the administrator), their document
 /// replica with its OT log `H`, their policy copy with its administrative
 /// log `L`, the reception queues `F` (cooperative) and `Q` (administrative)
-/// of Algorithm 1 — held by the causal-readiness [`Scheduler`] — and the
+/// of Algorithm 1 — held by the causal-readiness `Scheduler` — and the
 /// per-request flags.
 #[derive(Debug, Clone)]
 pub struct Site<E> {
@@ -311,7 +311,7 @@ impl<E: Element> Site<E> {
         u64,
     ) {
         (
-            self.engine.buffer().cells().to_vec(),
+            self.engine.buffer().cells().cloned().collect(),
             self.engine.log().clone(),
             self.engine.clock().clone(),
             self.engine.pruned_inert().clone(),

@@ -16,7 +16,7 @@
 //!    that crashed or rejoined mid-run are exempt: their journal has a
 //!    hole where the snapshot transfer stands in for replay).
 //!
-//! Use [`check_all`] (or the [`assert_trace!`] macro) after driving a
+//! Use [`check_all`] (or the [`assert_trace!`](crate::assert_trace) macro) after driving a
 //! scenario to quiescence.
 
 use crate::event::{Event, EventKind, ReqId, SiteId};

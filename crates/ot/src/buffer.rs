@@ -16,6 +16,30 @@
 //!
 //! The buffer is invisible outside the engine: users address documents with
 //! the paper's 1-based *visible* positions, and the engine translates.
+//!
+//! # Layout
+//!
+//! Since cells are never removed, a session's buffer only grows, and a
+//! flat vector would make every visible↔internal translation a scan of the
+//! whole session and every insertion a move of its tail. The cells are
+//! kept instead in *chunks* of at most a constant number of consecutive
+//! cells; each chunk caches how many of its cells are visible, and a
+//! Fenwick tree over the chunks holds the running cell and visible
+//! totals. So:
+//!
+//! * `visible_len` reads a cached total;
+//! * `cell`, `internal_ins_pos`, `internal_target_pos` and `visible_pos`
+//!   descend the tree to one chunk (O(log cells)) and scan that chunk only;
+//! * an insertion shifts the cells of one chunk; a chunk that overflows
+//!   splits in two, and the tree is rebuilt in O(chunks), once per half a
+//!   chunk of insertions into it.
+//!
+//! The visible counts stay exact because every write to a cell goes
+//! through the buffer: `apply`, `insert_ghost`, `ghost_created_by`,
+//! `withdraw_kill` and `unkill` here, and the engine through a
+//! crate-private guard that recounts the cell's visibility when dropped.
+//! Engine compaction rewrites provenance chains through an iterator that
+//! hands out chains only, never the visibility fields.
 
 use crate::ids::{Clock, RequestId};
 use dce_document::{ApplyError, Document, Element, Op, Position};
@@ -61,6 +85,21 @@ pub struct Cell<E> {
     pub chain: Vec<ChainLink<E>>,
 }
 
+impl<E: Clone> Cell<E> {
+    /// A cell with no deletions and no updates yet.
+    fn new(elem: E, creator: Option<RequestId>, ghost: bool) -> Self {
+        Cell {
+            original: elem.clone(),
+            elem,
+            creator,
+            ghost,
+            killers: Vec::new(),
+            anon_kills: 0,
+            chain: Vec::new(),
+        }
+    }
+}
+
 impl<E> Cell<E> {
     /// `true` when the cell is visible.
     pub fn is_visible(&self) -> bool {
@@ -74,77 +113,220 @@ impl<E> Cell<E> {
     }
 }
 
+/// Most cells one chunk holds; an insertion into a full chunk splits it in
+/// two halves.
+const CHUNK: usize = 64;
+
+/// A run of consecutive cells and the number of them that are visible.
+#[derive(Clone)]
+struct Chunk<E> {
+    cells: Vec<Cell<E>>,
+    visible: usize,
+}
+
+impl<E> Chunk<E> {
+    fn with_cells(cells: Vec<Cell<E>>) -> Self {
+        let visible = cells.iter().filter(|c| c.is_visible()).count();
+        Chunk { cells, visible }
+    }
+}
+
+/// Cell and visible-cell totals of a range of chunks.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    cells: usize,
+    visible: usize,
+}
+
 /// The tombstone document buffer. Internal positions are 1-based over *all*
 /// cells, visible or not.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+///
+/// Equality, `Debug` and `Hash` see only the cell sequence, never the chunk
+/// layout: `Hash` feeds the length, then every cell in order, exactly as
+/// the hash of a `Vec<Cell<E>>` does, so engine digests do not depend on
+/// how the cells happen to be chunked.
+#[derive(Clone)]
 pub struct Buffer<E> {
-    cells: Vec<Cell<E>>,
+    chunks: Vec<Chunk<E>>,
+    /// Fenwick tree over `chunks`: node `i` (1-based) sums the chunks
+    /// `(i - lowbit(i), i]`.
+    tree: Vec<Counts>,
+    len: usize,
+    visible: usize,
+}
+
+impl<E> Default for Buffer<E> {
+    fn default() -> Self {
+        Buffer { chunks: Vec::new(), tree: Vec::new(), len: 0, visible: 0 }
+    }
+}
+
+impl<E> Buffer<E> {
+    /// The cells, in internal order (snapshot capture).
+    pub fn cells(&self) -> impl Iterator<Item = &Cell<E>> + '_ {
+        self.chunks.iter().flat_map(|c| c.cells.iter())
+    }
+
+    /// Every cell's provenance chain, in internal order. Only chains are
+    /// handed out, so the caller cannot change a cell's visibility behind
+    /// the cached counts.
+    pub(crate) fn chains_mut(&mut self) -> impl Iterator<Item = &mut Vec<ChainLink<E>>> + '_ {
+        self.chunks.iter_mut().flat_map(|c| c.cells.iter_mut().map(|cell| &mut cell.chain))
+    }
+
+    /// Rebuilds the Fenwick tree from the chunks' own counts, in O(chunks).
+    fn rebuild(&mut self) {
+        self.tree = self
+            .chunks
+            .iter()
+            .map(|c| Counts { cells: c.cells.len(), visible: c.visible })
+            .collect();
+        for i in 1..=self.tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= self.tree.len() {
+                let Counts { cells, visible } = self.tree[i - 1];
+                self.tree[parent - 1].cells += cells;
+                self.tree[parent - 1].visible += visible;
+            }
+        }
+    }
+
+    /// Adds `cells` cells and `visible` visible cells to chunk `ci`'s
+    /// entries in the tree.
+    fn bump(&mut self, ci: usize, cells: usize, visible: isize) {
+        let mut i = ci + 1;
+        while i <= self.tree.len() {
+            let node = &mut self.tree[i - 1];
+            node.cells += cells;
+            node.visible = node.visible.wrapping_add_signed(visible);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The first chunk whose running total of `key` reaches `k`, with the
+    /// totals of the chunks before it. `k` must lie between 1 and the
+    /// buffer-wide total of `key`.
+    fn seek(&self, k: usize, key: impl Fn(&Counts) -> usize) -> (usize, Counts) {
+        let mut ci = 0;
+        let mut before = Counts::default();
+        let mut step = if self.tree.is_empty() { 0 } else { 1 << self.tree.len().ilog2() };
+        while step > 0 {
+            if let Some(node) = self.tree.get(ci + step - 1) {
+                if key(&before) + key(node) < k {
+                    ci += step;
+                    before.cells += node.cells;
+                    before.visible += node.visible;
+                }
+            }
+            step >>= 1;
+        }
+        (ci, before)
+    }
+
+    /// Chunk, offset in it, and the totals of the chunks before it, of the
+    /// cell at internal position `p`.
+    fn locate(&self, p: Position) -> Option<(usize, usize, Counts)> {
+        if p == 0 || p > self.len {
+            return None;
+        }
+        let (ci, before) = self.seek(p, |c| c.cells);
+        Some((ci, p - 1 - before.cells, before))
+    }
+}
+
+/// Mutable access to one cell. Dropping it brings the visible counts up to
+/// date if the edit changed the cell's visibility, so the counts stay exact
+/// whichever field the caller wrote.
+pub(crate) struct CellMut<'a, E> {
+    buf: &'a mut Buffer<E>,
+    chunk: usize,
+    off: usize,
+    was_visible: bool,
+}
+
+impl<E> std::ops::Deref for CellMut<'_, E> {
+    type Target = Cell<E>;
+    fn deref(&self) -> &Cell<E> {
+        &self.buf.chunks[self.chunk].cells[self.off]
+    }
+}
+
+impl<E> std::ops::DerefMut for CellMut<'_, E> {
+    fn deref_mut(&mut self) -> &mut Cell<E> {
+        &mut self.buf.chunks[self.chunk].cells[self.off]
+    }
+}
+
+impl<E> Drop for CellMut<'_, E> {
+    fn drop(&mut self) {
+        let delta = match (self.was_visible, self.is_visible()) {
+            (false, true) => 1,
+            (true, false) => -1,
+            _ => return,
+        };
+        let chunk = &mut self.buf.chunks[self.chunk];
+        chunk.visible = chunk.visible.wrapping_add_signed(delta);
+        self.buf.visible = self.buf.visible.wrapping_add_signed(delta);
+        self.buf.bump(self.chunk, 0, delta);
+    }
 }
 
 impl<E: Element> Buffer<E> {
     /// Rebuilds a buffer from raw cells (snapshot restore).
     pub fn from_cells(cells: Vec<Cell<E>>) -> Self {
-        Buffer { cells }
-    }
-
-    /// The raw cells, in internal order (snapshot capture).
-    pub fn cells(&self) -> &[Cell<E>] {
-        &self.cells
+        let mut buf = Buffer { len: cells.len(), ..Buffer::default() };
+        let mut cells = cells.into_iter().peekable();
+        while cells.peek().is_some() {
+            let mut run = Vec::with_capacity(CHUNK + 1);
+            run.extend(cells.by_ref().take(CHUNK));
+            buf.chunks.push(Chunk::with_cells(run));
+        }
+        buf.visible = buf.chunks.iter().map(|c| c.visible).sum();
+        buf.rebuild();
+        buf
     }
 
     /// Builds a buffer from an initial visible document (all cells visible,
     /// empty provenance — they are `D0` elements).
     pub fn from_document(doc: &Document<E>) -> Self {
-        Buffer {
-            cells: doc
-                .iter()
-                .map(|e| Cell {
-                    elem: e.clone(),
-                    original: e.clone(),
-                    creator: None,
-                    ghost: false,
-                    killers: Vec::new(),
-                    anon_kills: 0,
-                    chain: Vec::new(),
-                })
-                .collect(),
-        }
+        Buffer::from_cells(doc.iter().map(|e| Cell::new(e.clone(), None, false)).collect())
     }
 
     /// Total number of cells, tombstones and ghosts included.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.len
     }
 
     /// `true` when the buffer holds no cells at all.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len == 0
     }
 
     /// Number of visible cells.
     pub fn visible_len(&self) -> usize {
-        self.cells.iter().filter(|c| c.is_visible()).count()
+        self.visible
     }
 
     /// The cell at internal position `p` (1-based).
     pub fn cell(&self, p: Position) -> Option<&Cell<E>> {
-        if p == 0 {
-            return None;
-        }
-        self.cells.get(p - 1)
+        let (ci, off, _) = self.locate(p)?;
+        Some(&self.chunks[ci].cells[off])
     }
 
     /// Mutable cell access.
-    pub fn cell_mut(&mut self, p: Position) -> Option<&mut Cell<E>> {
-        if p == 0 {
-            return None;
-        }
-        self.cells.get_mut(p - 1)
+    pub(crate) fn cell_mut(&mut self, p: Position) -> Option<CellMut<'_, E>> {
+        let (ci, off, _) = self.locate(p)?;
+        Some(self.at_mut(ci, off))
+    }
+
+    fn at_mut(&mut self, chunk: usize, off: usize) -> CellMut<'_, E> {
+        let was_visible = self.chunks[chunk].cells[off].is_visible();
+        CellMut { buf: self, chunk, off, was_visible }
     }
 
     /// Materializes the visible document (visible cells in order).
     pub fn visible(&self) -> Document<E> {
-        self.cells.iter().filter(|c| c.is_visible()).map(|c| c.elem.clone()).collect()
+        self.cells().filter(|c| c.is_visible()).map(|c| c.elem.clone()).collect()
     }
 
     /// Internal position for *inserting* at visible position `v`: right
@@ -152,48 +334,83 @@ impl<E: Element> Buffer<E> {
     /// it from the next visible element). `v` ranges over
     /// `1..=visible_len+1`.
     pub fn internal_ins_pos(&self, v: Position) -> Option<Position> {
-        if v == 0 || v > self.visible_len() + 1 {
-            return None;
+        match v {
+            0 => None,
+            1 => Some(1),
+            _ => self.internal_target_pos(v - 1).map(|p| p + 1),
         }
-        if v == 1 {
-            return Some(1);
-        }
-        let mut seen = 0usize;
-        for (i, c) in self.cells.iter().enumerate() {
-            if c.is_visible() {
-                seen += 1;
-                if seen == v - 1 {
-                    return Some(i + 2);
-                }
-            }
-        }
-        None
     }
 
     /// Internal position of the `v`-th visible cell (target of `Del`/`Up`).
     pub fn internal_target_pos(&self, v: Position) -> Option<Position> {
-        if v == 0 {
+        if v == 0 || v > self.visible {
             return None;
         }
-        let mut seen = 0usize;
-        for (i, c) in self.cells.iter().enumerate() {
-            if c.is_visible() {
-                seen += 1;
-                if seen == v {
-                    return Some(i + 1);
-                }
-            }
-        }
-        None
+        let (ci, before) = self.seek(v, |c| c.visible);
+        let nth = v - before.visible - 1;
+        let (off, _) =
+            self.chunks[ci].cells.iter().enumerate().filter(|(_, c)| c.is_visible()).nth(nth)?;
+        Some(before.cells + off + 1)
     }
 
     /// Visible position of the visible cell at internal position `p`.
     pub fn visible_pos(&self, p: Position) -> Option<Position> {
-        let cell = self.cell(p)?;
-        if !cell.is_visible() {
+        let (ci, off, before) = self.locate(p)?;
+        let cells = &self.chunks[ci].cells;
+        if !cells[off].is_visible() {
             return None;
         }
-        Some(self.cells[..p - 1].iter().filter(|c| c.is_visible()).count() + 1)
+        Some(before.visible + cells[..off].iter().filter(|c| c.is_visible()).count() + 1)
+    }
+
+    /// Inserts `cell` at internal position `p`.
+    fn insert(&mut self, p: Position, cell: Cell<E>) -> Result<(), ApplyError> {
+        if p == 0 || p > self.len + 1 {
+            return Err(ApplyError::OutOfBounds { pos: p, len: self.len, max: self.len + 1 });
+        }
+        let (ci, off) = match self.locate(p) {
+            Some((ci, off, _)) => (ci, off),
+            // Appending: fill the last chunk, then open a new one, so runs
+            // typed at the end pack densely.
+            None => match self.chunks.last() {
+                Some(last) if last.cells.len() < CHUNK => (self.chunks.len() - 1, last.cells.len()),
+                _ => {
+                    self.chunks.push(Chunk { cells: Vec::with_capacity(CHUNK + 1), visible: 0 });
+                    self.rebuild();
+                    (self.chunks.len() - 1, 0)
+                }
+            },
+        };
+        let visible = usize::from(cell.is_visible());
+        self.len += 1;
+        self.visible += visible;
+        let chunk = &mut self.chunks[ci];
+        chunk.cells.insert(off, cell);
+        chunk.visible += visible;
+        if chunk.cells.len() > CHUNK {
+            let mut tail = Vec::with_capacity(CHUNK + 1);
+            tail.extend(chunk.cells.drain(chunk.cells.len() / 2..));
+            let tail = Chunk::with_cells(tail);
+            chunk.visible -= tail.visible;
+            self.chunks.insert(ci + 1, tail);
+            self.rebuild();
+        } else {
+            self.bump(ci, 1, visible as isize);
+        }
+        Ok(())
+    }
+
+    /// The first cell satisfying `pred`: its chunk, offset and internal
+    /// position.
+    fn find(&self, mut pred: impl FnMut(&Cell<E>) -> bool) -> Option<(usize, usize, Position)> {
+        let mut before = 0;
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            if let Some(off) = chunk.cells.iter().position(&mut pred) {
+                return Some((ci, off, before + off + 1));
+            }
+            before += chunk.cells.len();
+        }
+        None
     }
 
     /// Applies an *internal-coordinate* operation with tombstone semantics:
@@ -219,37 +436,13 @@ impl<E: Element> Buffer<E> {
         by: Option<RequestId>,
         ctx: Option<&Clock>,
     ) -> Result<(), ApplyError> {
+        let len = self.len;
+        let missing = |pos: Position| ApplyError::OutOfBounds { pos, len, max: len };
         match op {
             Op::Nop => Ok(()),
-            Op::Ins { pos, elem } => {
-                if *pos == 0 || *pos > self.cells.len() + 1 {
-                    return Err(ApplyError::OutOfBounds {
-                        pos: *pos,
-                        len: self.cells.len(),
-                        max: self.cells.len() + 1,
-                    });
-                }
-                self.cells.insert(
-                    pos - 1,
-                    Cell {
-                        elem: elem.clone(),
-                        original: elem.clone(),
-                        creator: by,
-                        ghost: false,
-                        killers: Vec::new(),
-                        anon_kills: 0,
-                        chain: Vec::new(),
-                    },
-                );
-                Ok(())
-            }
+            Op::Ins { pos, elem } => self.insert(*pos, Cell::new(elem.clone(), by, false)),
             Op::Del { pos, .. } => {
-                let len = self.cells.len();
-                let cell = self.cell_mut(*pos).ok_or(ApplyError::OutOfBounds {
-                    pos: *pos,
-                    len,
-                    max: len,
-                })?;
+                let mut cell = self.cell_mut(*pos).ok_or_else(|| missing(*pos))?;
                 match by {
                     Some(id) => cell.killers.push(id),
                     None => cell.anon_kills += 1,
@@ -257,12 +450,7 @@ impl<E: Element> Buffer<E> {
                 Ok(())
             }
             Op::Up { pos, new, .. } => {
-                let len = self.cells.len();
-                let cell = self.cell_mut(*pos).ok_or(ApplyError::OutOfBounds {
-                    pos: *pos,
-                    len,
-                    max: len,
-                })?;
+                let mut cell = self.cell_mut(*pos).ok_or_else(|| missing(*pos))?;
                 cell.elem = new.clone();
                 if let Some(id) = by {
                     let saw = cell
@@ -282,49 +470,30 @@ impl<E: Element> Buffer<E> {
     /// coordinate but is never visible. Used when an insertion is
     /// integrated invalid.
     pub fn insert_ghost(&mut self, p: Position, elem: E, by: RequestId) -> Result<(), ApplyError> {
-        if p == 0 || p > self.cells.len() + 1 {
-            return Err(ApplyError::OutOfBounds {
-                pos: p,
-                len: self.cells.len(),
-                max: self.cells.len() + 1,
-            });
-        }
-        self.cells.insert(
-            p - 1,
-            Cell {
-                elem: elem.clone(),
-                original: elem,
-                creator: Some(by),
-                ghost: true,
-                killers: Vec::new(),
-                anon_kills: 0,
-                chain: Vec::new(),
-            },
-        );
-        Ok(())
+        self.insert(p, Cell::new(elem, Some(by), true))
     }
 
     /// Turns the cell created by `id` into a ghost (undo of an insertion).
     /// Returns its internal position.
     pub fn ghost_created_by(&mut self, id: RequestId) -> Option<Position> {
-        let idx = self.cells.iter().position(|c| c.creator == Some(id))?;
-        self.cells[idx].ghost = true;
-        Some(idx + 1)
+        let (ci, off, p) = self.find(|c| c.creator == Some(id))?;
+        self.at_mut(ci, off).ghost = true;
+        Some(p)
     }
 
     /// Withdraws `id`'s deletion (undo of a deletion). Returns the cell's
     /// internal position, or `None` when no cell records that killer.
     pub fn withdraw_kill(&mut self, id: RequestId) -> Option<Position> {
-        let idx = self.cells.iter().position(|c| c.killers.contains(&id))?;
-        self.cells[idx].killers.retain(|k| *k != id);
-        Some(idx + 1)
+        let (ci, off, p) = self.find(|c| c.killers.contains(&id))?;
+        self.at_mut(ci, off).killers.retain(|k| *k != id);
+        Some(p)
     }
 
     /// Withdraws one anonymous deletion at `p` (test/baseline helper).
     /// Returns `true` if the cell became visible.
     pub fn unkill(&mut self, p: Position) -> bool {
         match self.cell_mut(p) {
-            Some(c) if c.anon_kills > 0 => {
+            Some(mut c) if c.anon_kills > 0 => {
                 c.anon_kills -= 1;
                 c.is_visible()
             }
@@ -335,14 +504,37 @@ impl<E: Element> Buffer<E> {
     /// Internal position of the cell whose provenance chain contains `id`
     /// (used by update-undo).
     pub fn find_in_chain(&self, id: RequestId) -> Option<Position> {
-        self.cells.iter().position(|c| c.chain.iter().any(|l| l.id == id)).map(|i| i + 1)
+        self.find(|c| c.chain.iter().any(|l| l.id == id)).map(|(_, _, p)| p)
+    }
+}
+
+impl<E: PartialEq> PartialEq for Buffer<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.cells().eq(other.cells())
+    }
+}
+
+impl<E: Eq> Eq for Buffer<E> {}
+
+impl<E: std::hash::Hash> std::hash::Hash for Buffer<E> {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.len.hash(h);
+        for c in self.cells() {
+            c.hash(h);
+        }
+    }
+}
+
+impl<E: std::fmt::Debug> std::fmt::Debug for Buffer<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.cells()).finish()
     }
 }
 
 impl Buffer<dce_document::Char> {
     /// Renders the visible text (test/debug helper for character buffers).
     pub fn visible_string(&self) -> String {
-        self.cells.iter().filter(|c| c.is_visible()).map(|c| c.elem.0).collect()
+        self.cells().filter(|c| c.is_visible()).map(|c| c.elem.0).collect()
     }
 }
 

@@ -321,7 +321,7 @@ impl<E: Element> Engine<E> {
     ///
     /// * links already above the horizon are checked directly, pairwise;
     /// * future arrivals dominate by the caller's guarantee (see
-    ///   [`dce_core`]'s `auto_compact`: it only passes a horizon derived
+    ///   `dce_core`'s `auto_compact`: it only passes a horizon derived
     ///   from heartbeat clocks this engine's own clock contains, so any
     ///   request not yet delivered was generated after its site's
     ///   heartbeat and its context covers the horizon);
@@ -332,18 +332,22 @@ impl<E: Element> Engine<E> {
     pub fn prune_chains(&mut self, horizon: &Clock) -> usize {
         let mut dropped = 0usize;
         let Engine { buf, log, pruned_inert, .. } = self;
-        let is_live = |id: RequestId| match log.get(id) {
-            Some(e) => !e.inert,
+        // Every cell an update ever wrote keeps its winning link, so the
+        // links consulted grow with the session: look each one up in a map
+        // built once, not by a scan of the log.
+        let inert: std::collections::HashMap<RequestId, bool> =
+            log.iter().map(|e| (e.id, e.inert)).collect();
+        let is_live = |id: RequestId| match inert.get(&id) {
+            Some(inert) => !inert,
             None => !pruned_inert.contains(&id),
         };
-        for pos in 1..=buf.len() {
+        for chain in buf.chains_mut() {
             let keep = {
-                let cell = buf.cell(pos).expect("position in range");
-                if !cell.chain.iter().any(|l| horizon.contains(l.id)) {
+                if !chain.iter().any(|l| horizon.contains(l.id)) {
                     continue;
                 }
                 let live: Vec<&crate::buffer::ChainLink<E>> =
-                    cell.chain.iter().filter(|l| is_live(l.id)).collect();
+                    chain.iter().filter(|l| is_live(l.id)).collect();
                 let (below, above): (
                     Vec<&crate::buffer::ChainLink<E>>,
                     Vec<&crate::buffer::ChainLink<E>>,
@@ -357,20 +361,19 @@ impl<E: Element> Engine<E> {
                     Some(Self::tournament(below).map(|l| l.id))
                 }
             };
-            let cell = buf.cell_mut(pos).expect("position in range");
-            let before = cell.chain.len();
+            let before = chain.len();
             match keep {
-                None => cell.chain.retain(|l| !horizon.contains(l.id) || is_live(l.id)),
+                None => chain.retain(|l| !horizon.contains(l.id) || is_live(l.id)),
                 Some(winner) => {
-                    cell.chain.retain(|l| !horizon.contains(l.id) || Some(l.id) == winner);
+                    chain.retain(|l| !horizon.contains(l.id) || Some(l.id) == winner);
                     if let Some(w) = winner {
-                        for l in cell.chain.iter_mut().filter(|l| l.id == w) {
+                        for l in chain.iter_mut().filter(|l| l.id == w) {
                             l.saw.clear();
                         }
                     }
                 }
             }
-            dropped += before - cell.chain.len();
+            dropped += before - chain.len();
         }
         dropped
     }
@@ -420,20 +423,19 @@ impl<E: Element> Engine<E> {
     /// Translates a visible-coordinate operation into internal coordinates,
     /// validating it against the current replica.
     fn to_internal(&self, op: &Op<E>) -> Result<Op<E>, ApplyError> {
-        let vis_len = self.buf.visible_len();
+        let out_of_bounds = |pos: dce_document::Position, slack: usize| {
+            let len = self.buf.visible_len();
+            ApplyError::OutOfBounds { pos, len, max: len + slack }
+        };
         match op {
             Op::Nop => Ok(Op::Nop),
             Op::Ins { pos, elem } => self
                 .buf
                 .internal_ins_pos(*pos)
                 .map(|p| Op::Ins { pos: p, elem: elem.clone() })
-                .ok_or(ApplyError::OutOfBounds { pos: *pos, len: vis_len, max: vis_len + 1 }),
+                .ok_or_else(|| out_of_bounds(*pos, 1)),
             Op::Del { pos, elem } => {
-                let p = self.buf.internal_target_pos(*pos).ok_or(ApplyError::OutOfBounds {
-                    pos: *pos,
-                    len: vis_len,
-                    max: vis_len,
-                })?;
+                let p = self.buf.internal_target_pos(*pos).ok_or_else(|| out_of_bounds(*pos, 0))?;
                 let found = &self.buf.cell(p).expect("mapped cell exists").elem;
                 if found != elem {
                     return Err(ApplyError::ElementMismatch {
@@ -445,11 +447,7 @@ impl<E: Element> Engine<E> {
                 Ok(Op::Del { pos: p, elem: elem.clone() })
             }
             Op::Up { pos, old, new } => {
-                let p = self.buf.internal_target_pos(*pos).ok_or(ApplyError::OutOfBounds {
-                    pos: *pos,
-                    len: vis_len,
-                    max: vis_len,
-                })?;
+                let p = self.buf.internal_target_pos(*pos).ok_or_else(|| out_of_bounds(*pos, 0))?;
                 let found = &self.buf.cell(p).expect("mapped cell exists").elem;
                 if found != old {
                     return Err(ApplyError::ElementMismatch {
@@ -640,7 +638,7 @@ impl<E: Element> Engine<E> {
         // value, but undo's recompute needs the loser's own value — the
         // same at every site.
         if let (Op::Up { new: base_new, .. }, Some(pos)) = (&req.top.op, top.op.pos()) {
-            if let Some(cell) = self.buf.cell_mut(pos) {
+            if let Some(mut cell) = self.buf.cell_mut(pos) {
                 if let Some(link) = cell.chain.last_mut() {
                     if link.id == req.id {
                         link.value = base_new.clone();
@@ -699,9 +697,11 @@ impl<E: Element> Engine<E> {
     /// case); thanks to the never-removed-cell invariant of the tombstone
     /// buffer we can revert the effect *in place* instead — ghost the
     /// inserted cell, withdraw the deletion, or recompute the updated
-    /// value — in `O(|buffer|)`, and simply flag the entry inert. An undone
-    /// insertion keeps its positional form in the log (its ghost cell still
-    /// occupies the coordinate); undone deletions/updates become `Nop`.
+    /// value — and simply flag the entry inert. Finding the request's cell
+    /// is a scan of the buffer (`O(cells)`: the buffer indexes positions,
+    /// not request identities). An undone insertion keeps its positional
+    /// form in the log (its ghost cell still occupies the coordinate);
+    /// undone deletions/updates become `Nop`.
     pub fn undo(&mut self, id: RequestId) -> Result<Vec<RequestId>, OtError> {
         if self.log.index_of(id).is_none() {
             return Err(OtError::UnknownRequest(id));
@@ -746,7 +746,7 @@ impl<E: Element> Engine<E> {
     /// remains.
     fn recompute_cell_value(&mut self, pos: dce_document::Position, undone: RequestId) {
         let value = self.chain_winner_value(pos, Some(undone));
-        let cell = self.buf.cell_mut(pos).expect("undone update cell exists");
+        let mut cell = self.buf.cell_mut(pos).expect("undone update cell exists");
         cell.elem = value;
         cell.chain.retain(|l| l.id != undone);
     }

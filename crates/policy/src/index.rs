@@ -185,8 +185,10 @@ fn resolve_object(object: &DocObject, objects: &BTreeMap<String, DocObject>) -> 
 
 impl PolicyIndex {
     /// Drops every compiled bucket and memoized decision. Called by every
-    /// `Policy` mutation (including version bumps) — correctness never
-    /// depends on *which* field changed.
+    /// `Policy` mutation of what a decision reads — authorizations, users,
+    /// groups, named objects — without asking which entry changed. Version
+    /// bumps do not call it: no decision reads the version, so a
+    /// `Validate` (a bump and nothing else) keeps the index warm.
     pub(crate) fn invalidate(&self) {
         let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         st.buckets.clear();

@@ -148,9 +148,9 @@ impl Policy {
     }
 
     /// Bumps the version (every administrative request does this, including
-    /// `Validate` which changes nothing else).
+    /// `Validate` which changes nothing else). The decision index is kept:
+    /// `check` never reads the version.
     pub fn bump_version(&mut self) -> PolicyVersion {
-        self.index.invalidate();
         self.version += 1;
         self.version
     }
@@ -158,7 +158,6 @@ impl Policy {
     /// Restores a version counter (snapshot restore only — normal
     /// operation always goes through [`Policy::bump_version`]).
     pub fn set_version(&mut self, version: PolicyVersion) {
-        self.index.invalidate();
         self.version = version;
     }
 
@@ -290,7 +289,7 @@ impl Policy {
 
     /// First-match check (the paper's `Check_Local`): the sign of the
     /// first authorization matching `(user, action)` decides; no match →
-    /// deny. Resolved through the compiled [`PolicyIndex`] — O(log n) per
+    /// deny. Resolved through the compiled `PolicyIndex` — O(log n) per
     /// `(user, right)` bucket plus a decision memo — and observably
     /// identical to the reference scan [`Policy::check_naive`] (pinned by
     /// the `indexed_policy_matches_naive_first_match` proptest).

@@ -133,6 +133,9 @@ proptest! {
             for (user, right_tag, pos) in &checks {
                 let action = Action::new(Right::ALL[*right_tag as usize], *pos);
                 let indexed = p.check(*user, &action);
+                // A version bump between the two checks must keep the
+                // memoized decision valid: no decision reads the version.
+                p.bump_version();
                 let again = p.check(*user, &action);
                 let naive = p.check_naive(*user, &action);
                 prop_assert_eq!(indexed, naive,
